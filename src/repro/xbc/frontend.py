@@ -21,7 +21,7 @@ came from the XBC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.branch.bias import BIAS_MAX, PROMOTE_HIGH, PROMOTE_LOW
@@ -30,19 +30,20 @@ from repro.branch.gshare import GsharePredictor
 from repro.branch.indirect import IndirectPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.base import FrontendModel, UopFlow
-from repro.frontend.build_engine import BuildEngine, reference_frontends_enabled
+from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
-from repro.isa.instruction import CODE_COND_BRANCH, InstrKind
-from repro.isa.uop import UID_INDEX_BITS, uop_uid_ip, uop_uid_index
+from repro.isa.instruction import InstrKind
+from repro.isa.uop import uop_uid_ip, uop_uid_index
 from repro.trace.record import Trace
 from repro.xbc.config import XbcConfig
 from repro.xbc.fill import XbcFillUnit
 from repro.xbc.pointer import XbPointer
 from repro.xbc.promotion import Promoter
 from repro.xbc.storage import XbcStorage
-from repro.xbc.xbseq import XbStep, build_xb_stream, xb_flat_columns
+# xb_flat_columns is unused here; perfbench/spans.py wraps it by name.
+from repro.xbc.xbseq import XbStep, build_xb_stream, xb_flat_columns  # noqa: F401
 from repro.xbc.xbtb import Xbtb, XbtbEntry
 
 
@@ -157,61 +158,6 @@ class XbcFrontend(FrontendModel):
         self, trace: Trace, cycle_log: Optional[List[int]] = None
     ) -> FrontendStats:
         """Simulate the trace through the XBC frontend."""
-        if reference_frontends_enabled():
-            return self._run_reference(trace, cycle_log)
-        return self._run_flat(trace, cycle_log)
-
-    def _init_run(self, trace: Trace) -> _Run:
-        """Fresh per-simulation state, shared by both implementations."""
-        config = self.config
-        xc = self.xbc_config
-        r = _Run()
-        r.trace = trace
-        r.steps = build_xb_stream(trace, xc.max_xb_uops)
-        r.n_steps = len(r.steps)
-        r.stats = FrontendStats(frontend=self.name, trace_name=trace.name)
-        r.flow = UopFlow(config, r.stats)
-        r.gshare = GsharePredictor(config.gshare_history_bits, config.gshare_entries)
-        r.xibtb = IndirectPredictor(
-            config.indirect_entries, config.indirect_history_bits
-        )
-        r.xrsb = ReturnStackBuffer(xc.xrsb_depth)
-        r.engine = BuildEngine(
-            config=config,
-            stats=r.stats,
-            icache=InstructionCache(
-                config.ic_size_bytes, config.ic_line_bytes, config.ic_assoc
-            ),
-            cond_predictor=r.gshare,
-            btb=BranchTargetBuffer(config.btb_entries, config.btb_assoc),
-            rsb=ReturnStackBuffer(config.rsb_depth),
-            indirect=IndirectPredictor(
-                config.indirect_entries, config.indirect_history_bits
-            ),
-        )
-        r.storage = XbcStorage(xc)
-        r.xbtb = Xbtb(xc)
-        r.fill = XbcFillUnit(xc, r.storage, r.xbtb, r.stats)
-        r.promoter = Promoter(xc, r.storage, r.xbtb, r.stats)
-        r.max_xb = xc.max_xb_uops
-        return r
-
-    def _finish_run(self, r: _Run) -> FrontendStats:
-        """Run epilogue: queue drain, capacity audits, conservation."""
-        r.flow.drain_all()
-        r.stats.extra["xbc_redundancy_x1000"] = int(r.storage.redundancy() * 1000)
-        r.stats.extra["xbc_resident_uops"] = r.storage.resident_uops()
-        r.stats.extra["xbc_evictions"] = r.storage.evictions
-        r.stats.extra["xbc_gc_evictions"] = r.storage.gc_evictions
-        r.stats.extra["xbc_relocations"] = r.storage.relocations
-        r.stats.extra["xbtb_entries"] = r.xbtb.resident_entries()
-        r.stats.verify_conservation(r.trace.total_uops)
-        return r.stats
-
-    def _run_reference(
-        self, trace: Trace, cycle_log: Optional[List[int]] = None
-    ) -> FrontendStats:
-        """The structured implementation (``REPRO_REFERENCE_FRONTEND=1``)."""
         r = self._init_run(trace)
         stats = r.stats
         flow = r.flow
@@ -265,805 +211,52 @@ class XbcFrontend(FrontendModel):
                     )
         return self._finish_run(r)
 
-    # ------------------------------------------------------------------
-    # flat path
-    # ------------------------------------------------------------------
-
-    def _run_flat(
-        self, trace: Trace, cycle_log: Optional[List[int]] = None
-    ) -> FrontendStats:
-        """Packed-state rewrite of the simulation loop (default path).
-
-        One fused loop owns cycle accounting, delivery-mode transition
-        resolution, and the data-array access; all per-cycle state lives
-        in locals and the step stream is consumed through the columnar
-        view of :func:`xb_flat_columns`.  The dominant delivery case —
-        a full-shape pointer whose probe cache is valid and whose banks
-        are conflict-free — runs without allocating a :class:`FetchUnit`
-        at all.  Cold work (build mode, indirect/return transitions,
-        combined XBs, deferrals) goes through the same helper methods as
-        the reference implementation, with the hot locals synced into
-        the :class:`_Run` around each call.
-        """
+    def _init_run(self, trace: Trace) -> _Run:
+        """Fresh per-simulation state."""
+        config = self.config
         xc = self.xbc_config
-        r = self._init_run(trace)
-        stats = r.stats
-        flow = r.flow
-        storage = r.storage
-        xbtb = r.xbtb
+        r = _Run()
+        r.trace = trace
+        r.steps = build_xb_stream(trace, xc.max_xb_uops)
+        r.n_steps = len(r.steps)
+        r.stats = FrontendStats(frontend=self.name, trace_name=trace.name)
+        r.flow = UopFlow(config, r.stats)
+        r.gshare = GsharePredictor(config.gshare_history_bits, config.gshare_entries)
+        r.xibtb = IndirectPredictor(
+            config.indirect_entries, config.indirect_history_bits
+        )
+        r.xrsb = ReturnStackBuffer(xc.xrsb_depth)
+        r.engine = BuildEngine(
+            config=config,
+            stats=r.stats,
+            icache=InstructionCache(
+                config.ic_size_bytes, config.ic_line_bytes, config.ic_assoc
+            ),
+            cond_predictor=r.gshare,
+            btb=BranchTargetBuffer(config.btb_entries, config.btb_assoc),
+            rsb=ReturnStackBuffer(config.rsb_depth),
+            indirect=IndirectPredictor(
+                config.indirect_entries, config.indirect_history_bits
+            ),
+        )
+        r.storage = XbcStorage(xc)
+        r.xbtb = Xbtb(xc)
+        r.fill = XbcFillUnit(xc, r.storage, r.xbtb, r.stats)
+        r.promoter = Promoter(xc, r.storage, r.xbtb, r.stats)
+        r.max_xb = xc.max_xb_uops
+        return r
 
-        cols = xb_flat_columns(trace, xc.max_xb_uops)
-        s_end = cols.end_ips
-        s_taken = cols.takens
-        s_uops = cols.uops
-        s_rev = cols.revs
-        steps = r.steps
-        n_steps = r.n_steps
-
-        logging = cycle_log is not None
-        log_append = cycle_log.append if logging else None
-
-        # hoisted structure internals (the flat loop is single-threaded
-        # with the objects it mutates; private handles are safe here)
-        set_versions = storage.set_versions
-        set_mask = storage._set_mask
-        sets = storage._sets
-        probe = storage.probe
-        x_sets = xbtb._sets
-        x_set_mask = xbtb._set_mask
-        probe_memo = r.probe_memo
-        rev_memo = r.rev_memo
-        pins_append = r.pins.append
-        tail_of = self._tail_of
-        gshare_update = r.gshare.update
-        try_promote = r.promoter._try_promote
-
-        width = flow.renamer_width
-        depth = flow.depth
-        max_xb = r.max_xb
-        xbs_per_cycle = xc.xbs_per_cycle
-        line_uops = xc.line_uops
-        enable_promotion = xc.enable_promotion
-        enable_set_search = xc.enable_set_search
-        enable_placement = xc.enable_dynamic_placement
-        move_threshold = xc.conflict_move_threshold
-        deferrals = storage._deferrals
-        relocate_line = storage.relocate_line
-        mispredict_penalty = self.config.mispredict_penalty
-        uid_shift = UID_INDEX_BITS
-        code_cond = CODE_COND_BRANCH
-
-        # hot state, hoisted out of _Run
-        si = 0
-        consumed = 0
-        occ = 0
-        delivery = False
-        cur_entry: Optional[XbtbEntry] = None
-        last_taken = False
-        last_in_build = True
-        last_mask = 0
-        a_done = False
-        link_entry: Optional[XbtbEntry] = None
-        link_taken = False
-        xibtb_src: Optional[XbtbEntry] = None
-        resolved: Optional[Tuple[str, Optional[FetchUnit]]] = None
-        pending: Optional[FetchUnit] = None
-
-        # statistics deltas, merged into `stats` once at the end (helper
-        # calls add to the stats object directly; everything is additive
-        # so the split is exact)
-        d_cycles = 0
-        d_retired = 0
-        d_delivery = 0
-        d_lookups = 0
-        d_hits = 0
-        d_from_structure = 0
-        d_fetch_cycles = 0
-        d_cond_pred = 0
-        d_cond_misp = 0
-        d_comb = 0
-        d_deferrals = 0
-
-        while si < n_steps:
-            d_cycles += 1
-            # inline flow.drain(): one renamer cycle
-            t = occ if occ < width else width
-            occ -= t
-            d_retired += t
-
-            if not delivery:
-                # ---- build cycle: shared engine machinery (cold) ----
-                r.si = si
-                r.consumed = consumed
-                r.cur_entry = cur_entry
-                r.last_taken = last_taken
-                r.last_in_build = last_in_build
-                r.last_mask = last_mask
-                r.a_done = a_done
-                r.link_info = (link_entry, link_taken)
-                r.xibtb_source = xibtb_src
-                flow.occupancy = occ
-                if logging:
-                    before = (
-                        stats.uops_from_ic
-                        + stats.uops_from_structure
-                        + d_from_structure
-                    )
-                    self._build_cycle(r)
-                    log_append(
-                        stats.uops_from_ic
-                        + stats.uops_from_structure
-                        + d_from_structure
-                        - before
-                    )
-                else:
-                    self._build_cycle(r)
-                si = r.si
-                consumed = r.consumed
-                cur_entry = r.cur_entry
-                last_taken = r.last_taken
-                last_in_build = r.last_in_build
-                last_mask = r.last_mask
-                a_done = r.a_done
-                link_entry, link_taken = r.link_info
-                xibtb_src = r.xibtb_source
-                delivery = r.delivery
-                occ = flow.occupancy
-                continue
-
-            deficit = max_xb - (depth - occ)
-            if deficit > 0:
-                # Queue lacks room for even one XB; fast-forward the
-                # pure-drain cycles in one step (cycle-exact) unless a
-                # per-cycle log is being collected.
-                d_delivery += 1
-                if logging:
-                    log_append(0)
-                    continue
-                extra = (deficit + width - 1) // width - 1
-                if extra > 0 and occ >= extra * width:
-                    d_cycles += extra
-                    d_retired += extra * width
-                    occ -= extra * width
-                    d_delivery += extra
-                continue
-
-            # ---- one delivery cycle ----
-            d_delivery += 1
-            if logging:
-                before = (
-                    stats.uops_from_ic
-                    + stats.uops_from_structure
-                    + d_from_structure
-                )
-            banks_used = 0
-            delivered_any = False
-            slots = xbs_per_cycle
-            unit = pending
-            pending = None
-            while slots > 0 and si < n_steps:
-                if unit is None:
-                    if resolved is not None:
-                        tag, unit = resolved
-                        resolved = None
-                        if tag == "build":
-                            if delivered_any or slots < xbs_per_cycle:
-                                resolved = ("build", None)
-                                break
-                            r.si = si
-                            r.consumed = consumed
-                            self._switch_to_build(r)
-                            delivery = False
-                            break
-                        # tag == "unit": fall through to the data array
-                    else:
-                        # ---- transition resolution, inline ----
-                        entry = cur_entry
-                        ptr = None
-                        shape = 0  # 0 none, 1 full, 2 prefix
-                        mispredict = False
-                        if entry is not None:
-                            if consumed:
-                                remaining, rev = tail_of(r, steps[si], consumed)
-                            else:
-                                remaining = s_uops[si]
-                                rev = s_rev[si]
-                            ecode = entry.end_code
-                            if ecode < 0:  # quota split: plain fall-through
-                                a_done = True
-                                link_entry = entry
-                                link_taken = False
-                                ptr = entry.nt_ptr
-                            elif ecode == code_cond and entry.promoted is None:
-                                a_done = True
-                                actual = last_taken
-                                link_entry = entry
-                                link_taken = actual
-                                if not last_in_build:
-                                    d_cond_pred += 1
-                                    if not gshare_update(entry.xb_ip, actual):
-                                        d_cond_misp += 1
-                                        mispredict = True
-                                # promoter.on_outcome, inline
-                                bias = entry.bias
-                                value = bias.value
-                                if actual:
-                                    if value < BIAS_MAX:
-                                        value = bias.value = value + 1
-                                elif value > 0:
-                                    value = bias.value = value - 1
-                                if enable_promotion and (
-                                    value <= PROMOTE_LOW or value >= PROMOTE_HIGH
-                                ):
-                                    try_promote(entry)
-                                ptr = entry.taken_ptr if actual else entry.nt_ptr
-                            else:
-                                r.si = si
-                                r.consumed = consumed
-                                r.last_taken = last_taken
-                                r.last_in_build = last_in_build
-                                r.xibtb_source = xibtb_src
-                                ptr, cause = self._transition(
-                                    r, entry, steps[si], remaining,
-                                    in_build=False,
-                                )
-                                a_done = r.a_done
-                                link_entry, link_taken = r.link_info
-                                xibtb_src = r.xibtb_source
-                                mispredict = cause is not None
-                            # _validate_ptr, inline
-                            if ptr is not None:
-                                rem = len(remaining)
-                                p_off = ptr.offset
-                                if ptr.xb_ip == s_end[si] and p_off == rem:
-                                    shape = 1
-                                elif (
-                                    0 < p_off < rem
-                                    and remaining[p_off - 1] >> uid_shift
-                                    == ptr.xb_ip
-                                    and remaining[p_off] >> uid_shift
-                                    != ptr.xb_ip
-                                ):
-                                    shape = 2
-                        if mispredict:
-                            stats.add_penalty("mispredict", mispredict_penalty)
-                        if shape == 0:
-                            # no usable pointer: re-steer into build mode
-                            if delivered_any or slots < xbs_per_cycle:
-                                resolved = ("build", None)
-                                break
-                            r.si = si
-                            r.consumed = consumed
-                            self._switch_to_build(r)
-                            delivery = False
-                            break
-                        if mispredict:
-                            # charged re-steer; corrected unit next cycle
-                            r.si = si
-                            r.consumed = consumed
-                            resolved = ("unit", self._make_unit(
-                                r, ptr, steps[si], remaining,
-                                "full" if shape == 1 else "prefix", rev,
-                            ))
-                            break
-                        if shape == 2:
-                            r.si = si
-                            r.consumed = consumed
-                            unit = self._make_unit(
-                                r, ptr, steps[si], remaining, "prefix", rev
-                            )
-                            # falls through to the data array
-                        else:
-                            p_ip = ptr.xb_ip
-                            xset = x_sets[(p_ip >> 1) & x_set_mask]
-                            target = xset.get(p_ip)
-                            if (
-                                target is not None
-                                and target.promoted is not None
-                                and target.promoted == (s_taken[si] == 1)
-                                and si + 1 < n_steps
-                            ):
-                                # ---- combined-XB upgrade (§3.8), inline:
-                                # same decision chain as _make_unit, with
-                                # a unit-less delivery when the combined
-                                # variant's mapping is cached and clean ----
-                                f_ip = target.forward_xb_ip
-                                nxt_uops = s_uops[si + 1]
-                                variant = None
-                                e1 = None
-                                if (
-                                    s_end[si + 1] == f_ip
-                                    and len(nxt_uops) == target.forward_len1
-                                ):
-                                    e1 = x_sets[
-                                        (f_ip >> 1) & x_set_mask
-                                    ].get(f_ip)
-                                    if e1 is not None:
-                                        comb_offset = (
-                                            rem + target.forward_len1
-                                        )
-                                        variant = e1.variant_covering(
-                                            storage, comb_offset
-                                        )
-                                if variant is None:
-                                    # no combined copy: plain full unit
-                                    unit = FetchUnit(
-                                        xb_ip=p_ip,
-                                        mask=ptr.mask,
-                                        offset=rem,
-                                        rev_expected=rev,
-                                        advance_steps=1,
-                                        source_ptr=ptr,
-                                    )
-                                    # falls through to the data array
-                                else:
-                                    # on_outcome: taken == promoted here,
-                                    # so only the bias update applies
-                                    bias = target.bias
-                                    value = bias.value
-                                    if s_taken[si]:
-                                        if value < BIAS_MAX:
-                                            bias.value = value + 1
-                                    elif value > 0:
-                                        bias.value = value - 1
-                                    d_comb += 1
-                                    ckey = (
-                                        id(remaining), id(nxt_uops), -1
-                                    )
-                                    crev = rev_memo.get(ckey)
-                                    if crev is None:
-                                        crev = (
-                                            tuple(remaining) + nxt_uops
-                                        )[::-1]
-                                        rev_memo[ckey] = crev
-                                    v_mask = variant.mask
-                                    d_lookups += 1
-                                    version = set_versions[
-                                        (f_ip >> 1) & set_mask
-                                    ]
-                                    mkey = (
-                                        f_ip, v_mask, comb_offset, id(crev)
-                                    )
-                                    hit = probe_memo.get(mkey)
-                                    if (
-                                        hit is not None
-                                        and hit[0] == version
-                                    ):
-                                        mapping = hit[1]
-                                        bits = hit[2]
-                                        clean = hit[3]
-                                    else:
-                                        mapping = probe(
-                                            f_ip, v_mask, comb_offset, crev
-                                        )
-                                        bits = 0
-                                        clean = True
-                                        if mapping is not None:
-                                            for slot in mapping.values():
-                                                b = 1 << slot[0]
-                                                if bits & b:
-                                                    clean = False
-                                                bits |= b
-                                            probe_memo[mkey] = (
-                                                version, mapping,
-                                                bits, clean,
-                                            )
-                                    if mapping is None:
-                                        # miss: general path handles the
-                                        # set-search/abort (re-probe is
-                                        # pure, so the repeat is safe)
-                                        unit = FetchUnit(
-                                            xb_ip=f_ip,
-                                            mask=v_mask,
-                                            offset=comb_offset,
-                                            rev_expected=crev,
-                                            advance_steps=2,
-                                            counted=True,
-                                        )
-                                        # falls through to the data array
-                                    elif clean and not banks_used & bits:
-                                        d_hits += 1
-                                        banks_used |= bits
-                                        # inline storage.touch()
-                                        storage._clock += 1
-                                        stamp = storage._clock
-                                        set_lines = sets[
-                                            (f_ip >> 1) & set_mask
-                                        ]
-                                        for bank, way in mapping.values():
-                                            line = set_lines[bank][way]
-                                            if line is not None:
-                                                line.stamp = stamp
-                                        d_from_structure += comb_offset
-                                        occ += comb_offset
-                                        delivered_any = True
-                                        # commit: advance two steps, next
-                                        # XBTB lookup (end-IP == f_ip)
-                                        a_done = False
-                                        link_entry = None
-                                        link_taken = False
-                                        xibtb_src = None
-                                        last_in_build = False
-                                        last_mask = v_mask
-                                        last_taken = s_taken[si + 1] == 1
-                                        si += 2
-                                        consumed = 0
-                                        xbtb.lookups += 1
-                                        xbtb.hits += 1
-                                        xbtb._clock += 1
-                                        e1.stamp = xbtb._clock
-                                        cur_entry = e1
-                                        slots -= 1
-                                        continue
-                                    else:
-                                        # dirty mapping or bank conflict
-                                        d_hits += 1
-                                        unit = FetchUnit(
-                                            xb_ip=f_ip,
-                                            mask=v_mask,
-                                            offset=comb_offset,
-                                            rev_expected=crev,
-                                            advance_steps=2,
-                                            counted=True,
-                                            hit_counted=True,
-                                            cached_map=mapping,
-                                            cached_version=version,
-                                            cached_bits=bits,
-                                            cached_clean=clean,
-                                        )
-                            else:
-                                # ---- unit-less fast path: full-shape
-                                # pointer, probe cache, one-AND bank
-                                # arbitration, whole-XB delivery ----
-                                d_lookups += 1
-                                p_mask = ptr.mask
-                                version = set_versions[(p_ip >> 1) & set_mask]
-                                if (
-                                    ptr.cache_rev is rev
-                                    and ptr.cache_key == (version, p_mask, rem)
-                                ):
-                                    mapping = ptr.cache_map
-                                else:
-                                    mapping = probe(p_ip, p_mask, rem, rev)
-                                    if mapping is not None:
-                                        bits = 0
-                                        clean = True
-                                        for slot in mapping.values():
-                                            b = 1 << slot[0]
-                                            if bits & b:
-                                                clean = False
-                                            bits |= b
-                                        ptr.cache_key = (version, p_mask, rem)
-                                        ptr.cache_rev = rev
-                                        ptr.cache_map = mapping
-                                        ptr.cache_bits = bits
-                                        ptr.cache_clean = clean
-                                if mapping is None:
-                                    # XBC miss: set search, else build
-                                    if enable_set_search:
-                                        stats.bump("set_searches")
-                                        repaired = storage.set_search(
-                                            p_ip, rem, rev
-                                        )
-                                        if repaired is not None:
-                                            ptr.mask = repaired[0]
-                                            stats.bump("set_search_hits")
-                                            stats.add_penalty("set_search", 1)
-                                            pending = FetchUnit(
-                                                xb_ip=p_ip,
-                                                mask=repaired[0],
-                                                offset=rem,
-                                                rev_expected=rev,
-                                                advance_steps=1,
-                                                source_ptr=ptr,
-                                                counted=True,
-                                            )
-                                            break
-                                    r.si = si
-                                    r.consumed = consumed
-                                    self._switch_to_build(r)
-                                    delivery = False
-                                    break
-                                d_hits += 1
-                                bits = ptr.cache_bits
-                                if ptr.cache_clean and not banks_used & bits:
-                                    banks_used |= bits
-                                    # inline storage.touch()
-                                    storage._clock += 1
-                                    stamp = storage._clock
-                                    set_lines = sets[(p_ip >> 1) & set_mask]
-                                    for bank, way in mapping.values():
-                                        line = set_lines[bank][way]
-                                        if line is not None:
-                                            line.stamp = stamp
-                                    d_from_structure += rem
-                                    occ += rem
-                                    delivered_any = True
-                                    # commit: advance one step, next XBTB
-                                    # lookup (committed end-IP == p_ip)
-                                    a_done = False
-                                    link_entry = None
-                                    link_taken = False
-                                    xibtb_src = None
-                                    last_in_build = False
-                                    last_mask = p_mask
-                                    last_taken = s_taken[si] == 1
-                                    si += 1
-                                    consumed = 0
-                                    xbtb.lookups += 1
-                                    if target is not None:
-                                        xbtb.hits += 1
-                                        xbtb._clock += 1
-                                        target.stamp = xbtb._clock
-                                    cur_entry = target
-                                    slots -= 1
-                                    continue
-                                # dirty mapping or bank conflict: hand off
-                                # to the general arbitration path
-                                unit = FetchUnit(
-                                    xb_ip=p_ip,
-                                    mask=p_mask,
-                                    offset=rem,
-                                    rev_expected=rev,
-                                    advance_steps=1,
-                                    source_ptr=ptr,
-                                    counted=True,
-                                    hit_counted=True,
-                                    cached_map=mapping,
-                                    cached_version=version,
-                                    cached_bits=bits,
-                                    cached_clean=ptr.cache_clean,
-                                )
-
-                # ---- data-array access for one unit, bank-arbitrated ----
-                if not unit.counted:
-                    d_lookups += 1
-                    unit.counted = True
-                u_ip = unit.xb_ip
-                version = set_versions[(u_ip >> 1) & set_mask]
-                mapping = unit.cached_map
-                if mapping is None or unit.cached_version != version:
-                    uptr = unit.source_ptr
-                    if uptr is not None:
-                        key = (version, unit.mask, unit.offset)
-                        if (
-                            uptr.cache_key == key
-                            and uptr.cache_rev is unit.rev_expected
-                        ):
-                            mapping = uptr.cache_map
-                            unit.cached_map = mapping
-                            unit.cached_version = version
-                            unit.cached_bits = uptr.cache_bits
-                            unit.cached_clean = uptr.cache_clean
-                        else:
-                            mapping = probe(
-                                u_ip, unit.mask, unit.offset,
-                                unit.rev_expected,
-                            )
-                            if mapping is not None:
-                                bits = 0
-                                clean = True
-                                for slot in mapping.values():
-                                    b = 1 << slot[0]
-                                    if bits & b:
-                                        clean = False
-                                    bits |= b
-                                uptr.cache_key = key
-                                uptr.cache_rev = unit.rev_expected
-                                uptr.cache_map = mapping
-                                uptr.cache_bits = bits
-                                uptr.cache_clean = clean
-                                unit.cached_map = mapping
-                                unit.cached_version = version
-                                unit.cached_bits = bits
-                                unit.cached_clean = clean
-                    else:
-                        mkey = (
-                            u_ip, unit.mask, unit.offset,
-                            id(unit.rev_expected),
-                        )
-                        hit = probe_memo.get(mkey)
-                        if hit is not None and hit[0] == version:
-                            mapping = hit[1]
-                            unit.cached_map = mapping
-                            unit.cached_version = version
-                            unit.cached_bits = hit[2]
-                            unit.cached_clean = hit[3]
-                        else:
-                            mapping = probe(
-                                u_ip, unit.mask, unit.offset,
-                                unit.rev_expected,
-                            )
-                            if mapping is not None:
-                                bits = 0
-                                clean = True
-                                for slot in mapping.values():
-                                    b = 1 << slot[0]
-                                    if bits & b:
-                                        clean = False
-                                    bits |= b
-                                probe_memo[mkey] = (
-                                    version, mapping, bits, clean
-                                )
-                                unit.cached_map = mapping
-                                unit.cached_version = version
-                                unit.cached_bits = bits
-                                unit.cached_clean = clean
-
-                if mapping is None:
-                    if enable_set_search:
-                        stats.bump("set_searches")
-                        repaired = storage.set_search(
-                            u_ip, unit.offset, unit.rev_expected
-                        )
-                        if repaired is not None:
-                            mask = repaired[0]
-                            unit.mask = mask
-                            if unit.source_ptr is not None:
-                                unit.source_ptr.mask = mask
-                            stats.bump("set_search_hits")
-                            stats.add_penalty("set_search", 1)
-                            pending = unit  # retry next cycle
-                            break
-                    flow.occupancy = occ
-                    self._abort_unit(r, unit)
-                    occ = flow.occupancy
-                    r.si = si
-                    r.consumed = consumed
-                    self._switch_to_build(r)
-                    delivery = False
-                    break
-                if not unit.hit_counted:
-                    d_hits += 1
-                    unit.hit_counted = True
-
-                bits = unit.cached_bits
-                if unit.cached_clean and not banks_used & bits:
-                    delivered = unit.offset
-                    banks_used |= bits
-                    # inline storage.touch()
-                    storage._clock += 1
-                    stamp = storage._clock
-                    set_lines = sets[(u_ip >> 1) & set_mask]
-                    for bank, way in mapping.values():
-                        line = set_lines[bank][way]
-                        if line is not None:
-                            line.stamp = stamp
-                else:
-                    needed = (unit.offset + line_uops - 1) // line_uops
-                    fetched: dict = {}
-                    stop_order = 0
-                    for order in range(needed - 1, -1, -1):
-                        slot = mapping[order]
-                        b = 1 << slot[0]
-                        if banks_used & b:
-                            stop_order = order + 1
-                            break
-                        fetched[order] = slot
-                        banks_used |= b
-                    else:
-                        stop_order = 0
-
-                    if not fetched:  # deferred: retry next cycle
-                        # inline _note_conflict()
-                        d_deferrals += 1
-                        set_idx = (u_ip >> 1) & set_mask
-                        dkey = (set_idx, u_ip)
-                        count = deferrals.get(dkey, 0) + 1
-                        if count >= move_threshold:
-                            deferrals[dkey] = 0
-                            if enable_placement:
-                                top = needed - 1
-                                if top in mapping:
-                                    bank, way = mapping[top]
-                                    relocate_line(
-                                        set_idx, bank, way, banks_used
-                                    )
-                        else:
-                            deferrals[dkey] = count
-                        pending = unit
-                        break
-
-                    delivered = unit.offset - stop_order * line_uops
-                    storage.touch((u_ip >> 1) & set_mask, fetched)
-
-                    if stop_order > 0:  # partial: the rest next cycle
-                        d_from_structure += delivered
-                        occ += delivered
-                        unit.delivered += delivered
-                        unit.offset = stop_order * line_uops
-                        unit.rev_expected = trimmed_rev = (
-                            unit.rev_expected[: unit.offset]
-                        )
-                        pins_append(trimmed_rev)
-                        trimmed = {o: mapping[o] for o in range(stop_order)}
-                        tbits = 0
-                        tclean = True
-                        for slot in trimmed.values():
-                            b = 1 << slot[0]
-                            if tbits & b:
-                                tclean = False
-                            tbits |= b
-                        unit.cached_map = trimmed
-                        unit.cached_bits = tbits
-                        unit.cached_clean = tclean
-                        # inline _note_conflict() (post-trim offset)
-                        d_deferrals += 1
-                        set_idx = (u_ip >> 1) & set_mask
-                        dkey = (set_idx, u_ip)
-                        count = deferrals.get(dkey, 0) + 1
-                        if count >= move_threshold:
-                            deferrals[dkey] = 0
-                            if enable_placement:
-                                top = stop_order - 1
-                                if top in mapping:
-                                    bank, way = mapping[top]
-                                    relocate_line(
-                                        set_idx, bank, way, banks_used
-                                    )
-                        else:
-                            deferrals[dkey] = count
-                        delivered_any = True
-                        pending = unit
-                        break
-
-                d_from_structure += delivered
-                occ += delivered
-                unit.delivered += delivered
-                delivered_any = True
-
-                # ---- done: commit the unit's step progress ----
-                a_done = False
-                resolved = None
-                link_entry = None
-                link_taken = False
-                xibtb_src = None
-                last_in_build = False
-                last_mask = unit.mask
-                adv = unit.advance_steps
-                if adv == 0:
-                    consumed += unit.delivered
-                    ip = u_ip
-                else:
-                    for _ in range(adv):
-                        last_taken = s_taken[si] == 1
-                        si += 1
-                    consumed = 0
-                    ip = s_end[si - 1]
-                xbtb.lookups += 1
-                entry = x_sets[(ip >> 1) & x_set_mask].get(ip)
-                if entry is not None:
-                    xbtb.hits += 1
-                    xbtb._clock += 1
-                    entry.stamp = xbtb._clock
-                cur_entry = entry
-                unit = None
-                slots -= 1
-            if delivered_any:
-                d_fetch_cycles += 1
-            if logging:
-                log_append(
-                    stats.uops_from_ic
-                    + stats.uops_from_structure
-                    + d_from_structure
-                    - before
-                )
-
-        stats.cycles += d_cycles
-        stats.retired_uops += d_retired
-        stats.delivery_cycles += d_delivery
-        stats.structure_lookups += d_lookups
-        stats.structure_hits += d_hits
-        stats.uops_from_structure += d_from_structure
-        stats.structure_fetch_cycles += d_fetch_cycles
-        stats.cond_predictions += d_cond_pred
-        stats.cond_mispredicts += d_cond_misp
-        if d_comb:
-            stats.bump("comb_fetches", d_comb)
-        if d_deferrals:
-            stats.bump("bank_conflict_deferrals", d_deferrals)
-        flow.occupancy = occ
-        return self._finish_run(r)
+    def _finish_run(self, r: _Run) -> FrontendStats:
+        """Run epilogue: queue drain, capacity audits, conservation."""
+        r.flow.drain_all()
+        r.stats.extra["xbc_redundancy_x1000"] = int(r.storage.redundancy() * 1000)
+        r.stats.extra["xbc_resident_uops"] = r.storage.resident_uops()
+        r.stats.extra["xbc_evictions"] = r.storage.evictions
+        r.stats.extra["xbc_gc_evictions"] = r.storage.gc_evictions
+        r.stats.extra["xbc_relocations"] = r.storage.relocations
+        r.stats.extra["xbtb_entries"] = r.xbtb.resident_entries()
+        r.stats.verify_conservation(r.trace.total_uops)
+        return r.stats
 
     # ------------------------------------------------------------------
     # delivery mode

@@ -36,13 +36,6 @@ class XbPointer:
     cache_map: dict = field(  # type: ignore[assignment]
         default=None, compare=False, repr=False
     )
-    #: OR of the cached mapping's bank bits — one AND decides the
-    #: no-conflict arbitration fast path without walking the mapping.
-    cache_bits: int = field(default=0, compare=False, repr=False)
-    #: whether the cached mapping's orders sit in pairwise-distinct
-    #: banks (a bank serves one line per cycle; a same-bank pair must
-    #: go through the serializing arbitration loop).
-    cache_clean: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.offset < 1:

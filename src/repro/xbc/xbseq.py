@@ -59,7 +59,7 @@ class XbStep(NamedTuple):
 
 
 class XbFlatColumns(NamedTuple):
-    """Column-oriented view of the XB stream for the flat delivery loop.
+    """Column-oriented view of the XB stream (no simulator loop reads it).
 
     The scalar fields of every :class:`XbStep` unpacked into parallel
     packed arrays, plus the uop/rev tuples as plain lists.  The tuple
