@@ -14,9 +14,13 @@ into a laid-out :class:`~repro.program.cfg.Program`:
    intra-function cycle is trip-limited) create loops; forward
    conditional/unconditional targets create join points, which is what
    gives extended blocks their multiple entry points.
-3. **Layout** — blocks are lowered to IA-32-like instructions (1–11
-   bytes, 1–4 uops) in a linear address space, and behaviour objects
-   are attached to every conditional/indirect terminator IP.
+3. **Layout** — every instruction's kind and size (IA-32-like: 1–11
+   bytes, 1–4 uops) is drawn up front, which fixes every address in a
+   linear address space.  Lowering a block to
+   :class:`~repro.isa.instruction.Instruction` objects, and creating
+   the behaviour object of a conditional/indirect terminator, happens
+   on the program's first lookup of that block or terminator IP, so
+   executing a trace builds only the blocks the trace reaches.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import GenerationError
 from repro.common.rng import DeterministicRng
-from repro.isa.image import ProgramImage
 from repro.isa.instruction import Instruction, InstrKind
 from repro.program.behavior import (
     BiasedBehavior,
@@ -39,6 +42,7 @@ from repro.program.cfg import (
     BasicBlockSpec,
     FunctionSpec,
     LayoutBlock,
+    LazyDict,
     Program,
     TerminatorKind,
 )
@@ -515,9 +519,16 @@ class ProgramGenerator:
         name: str,
         suite: str,
     ) -> Program:
-        """Lower specs to instructions at concrete addresses."""
+        """Place specs at concrete addresses; lower blocks on demand.
+
+        Pass A (here, eager) draws every body instruction's kind and
+        size from the one ``fork(3)`` stream in layout order: one
+        block's draws shift every later address, so the whole program
+        is sized up front.  Pass B (:class:`_BlockLowering`) builds a
+        block's instructions and :class:`LayoutBlock`, or a
+        terminator's behaviour, the first time the program looks it up.
+        """
         rng = self._rng.fork(3)
-        # Pass A: draw every instruction's shape, then assign addresses.
         # The kind/size draws are inlined (weighted_choice and geometric
         # unrolled with the same float accumulation and draw order, so
         # the RNG stream is unchanged): this loop runs once per static
@@ -528,12 +539,20 @@ class ProgramGenerator:
         t_alu = 0.0 + 0.55
         t_load = t_alu + 0.30
         size_inv = 1.0 / log(1.0 - 1.0 / (3.2 - 1 + 1.0))
+        cond = TerminatorKind.COND
+        indirect = (TerminatorKind.INDIRECT, TerminatorKind.INDIRECT_CALL)
         body_shapes: Dict[int, List[Tuple[InstrKind, int, int]]] = {}
         entry_ips: Dict[int, int] = {}
+        block_entries: Dict[int, int] = {}
+        cond_bids: Dict[int, int] = {}      # terminator IP -> bid
+        indirect_bids: Dict[int, int] = {}  # terminator IP -> bid
+        static_uops = 0
         cursor = 0x1000
         for fn in functions:
             for bid in fn.block_bids:
                 spec = specs[bid]
+                entry_ips[bid] = cursor
+                block_entries[cursor] = bid
                 shapes = []
                 append = shapes.append
                 for uops in spec.body_uop_counts:
@@ -547,113 +566,127 @@ class ProgramGenerator:
                     size = 1 + int(log(1.0 - rnd()) * size_inv)
                     if size > 11:
                         size = 11
+                    elif size < 1:
+                        # Every instruction takes at least one byte, so
+                        # no two instructions overlap.
+                        raise GenerationError(
+                            f"block {bid}: instruction size {size}"
+                        )
                     append((kind, uops, size))
+                    cursor += size
                 body_shapes[bid] = shapes
-                entry_ips[bid] = cursor
-                term_size, _ = _TERMINATOR_SHAPE[spec.terminator]
-                cursor += sum(s for _, _, s in shapes) + term_size
+                terminator = spec.terminator
+                if terminator is cond:
+                    cond_bids[cursor] = bid
+                elif terminator in indirect:
+                    indirect_bids[cursor] = bid
+                term_size, term_uops = _TERMINATOR_SHAPE[terminator]
+                cursor += term_size
+                static_uops += sum(spec.body_uop_counts) + term_uops
             cursor += _MIN_FUNCTION_GAP + rng.geometric(
                 self.profile.mean_function_gap_bytes, lo=0, hi=65536
             )
 
-        # Pass B: materialize instructions with resolved targets.
-        image = ProgramImage()
-        blocks: Dict[int, LayoutBlock] = {}
-        cond_behaviors: Dict[int, BranchBehavior] = {}
-        indirect_behaviors: Dict[int, IndirectBehavior] = {}
-        for fn in functions:
-            for bid in fn.block_bids:
-                spec = specs[bid]
-                ip = entry_ips[bid]
-                body: List[Instruction] = []
-                trusted = Instruction.trusted
-                for kind, uops, size in body_shapes[bid]:
-                    instr = trusted(ip, size, kind, uops)
-                    body.append(instr)
-                    image.add(instr)
-                    ip += size
-                term = self._make_terminator(spec, ip, entry_ips)
-                image.add(term)
-                blocks[bid] = LayoutBlock(
-                    bid=bid,
-                    fid=spec.fid,
-                    entry_ip=entry_ips[bid],
-                    body=body,
-                    terminator=term,
-                    taken_bid=spec.taken_bid,
-                    fall_bid=spec.fall_bid,
-                    indirect_bids=list(spec.indirect_bids),
-                    terminator_kind=spec.terminator,
-                )
-                self._attach_behavior(
-                    spec, term, entry_ips, cond_behaviors, indirect_behaviors
-                )
-
+        lowering = _BlockLowering(
+            self.profile, self._rng, specs, body_shapes, entry_ips,
+            cond_bids, indirect_bids,
+        )
         return Program(
-            image=image.freeze(),
-            blocks=blocks,
+            blocks=LazyDict(entry_ips, lowering.block),
             functions=functions,
             entry_bid=functions[0].entry_bid,
-            cond_behaviors=cond_behaviors,
-            indirect_behaviors=indirect_behaviors,
+            cond_behaviors=LazyDict(cond_bids, lowering.cond_behavior),
+            indirect_behaviors=LazyDict(
+                indirect_bids, lowering.indirect_behavior
+            ),
+            block_entries=block_entries,
+            static_uops=static_uops,
             suite=suite,
             name=name,
             seed=self.seed,
         )
 
-    def _make_terminator(
+
+class _BlockLowering:
+    """Pass B of the layout: one block, or one behaviour, per call.
+
+    Reads the addresses Pass A fixed and draws only from the block's
+    own ``fork(10_000 + bid)`` stream, so the order blocks are lowered
+    in cannot change what they lower to.  It holds no reference to the
+    program or to the dicts that cache its results, so no reference
+    cycle forms.
+    """
+
+    __slots__ = (
+        "profile", "rng", "specs", "shapes", "entry_ips", "cond_bids",
+        "indirect_bids",
+    )
+
+    def __init__(
         self,
-        spec: BasicBlockSpec,
-        ip: int,
+        profile: WorkloadProfile,
+        rng: DeterministicRng,
+        specs: Dict[int, BasicBlockSpec],
+        shapes: Dict[int, List[Tuple[InstrKind, int, int]]],
         entry_ips: Dict[int, int],
-    ) -> Instruction:
+        cond_bids: Dict[int, int],
+        indirect_bids: Dict[int, int],
+    ) -> None:
+        self.profile = profile
+        self.rng = rng
+        self.specs = specs
+        self.shapes = shapes
+        self.entry_ips = entry_ips
+        self.cond_bids = cond_bids
+        self.indirect_bids = indirect_bids
+
+    def block(self, bid: int) -> LayoutBlock:
+        """Block *bid*'s instructions, with resolved targets."""
+        spec = self.specs[bid]
+        entry_ips = self.entry_ips
+        ip = entry_ips[bid]
+        trusted = Instruction.trusted
+        body: List[Instruction] = []
+        for kind, uops, size in self.shapes[bid]:
+            body.append(trusted(ip, size, kind, uops))
+            ip += size
         size, uops = _TERMINATOR_SHAPE[spec.terminator]
         target: Optional[int] = None
         if spec.taken_bid is not None and spec.terminator in (
             TerminatorKind.COND, TerminatorKind.JUMP, TerminatorKind.CALL
         ):
             target = entry_ips[spec.taken_bid]
-        return Instruction.trusted(
-            ip, size, spec.terminator.instr_kind, uops, target
+        return LayoutBlock(
+            bid=bid,
+            fid=spec.fid,
+            entry_ip=entry_ips[bid],
+            body=body,
+            terminator=trusted(
+                ip, size, spec.terminator.instr_kind, uops, target
+            ),
+            taken_bid=spec.taken_bid,
+            fall_bid=spec.fall_bid,
+            indirect_bids=list(spec.indirect_bids),
+            terminator_kind=spec.terminator,
         )
 
-    def _attach_behavior(
-        self,
-        spec: BasicBlockSpec,
-        term: Instruction,
-        entry_ips: Dict[int, int],
-        cond_behaviors: Dict[int, BranchBehavior],
-        indirect_behaviors: Dict[int, IndirectBehavior],
-    ) -> None:
+    def cond_behavior(self, ip: int) -> BranchBehavior:
+        """Direction behaviour of the conditional terminator at *ip*."""
+        bid = self.cond_bids[ip]
+        spec = self.specs[bid]
         p = self.profile
-        if spec.terminator is TerminatorKind.COND:
-            rng = self._rng.fork(10_000 + spec.bid)
-            if spec.cond_class == "backedge":
-                behavior: BranchBehavior = LoopBehavior(
-                    mean_trip=rng.geometric(
-                        p.mean_loop_trip, lo=3, hi=p.max_mean_trip
-                    ),
-                    rng=rng.fork(1),
-                )
-            elif spec.cond_class == "escape":
-                # Loop breaks fire rarely: monotonic not-taken, the
-                # classic promotion candidate of §3.8.
-                behavior = BiasedBehavior(p.escape_rate, rng.fork(6))
-            else:
-                behavior = self._draw_cond_behavior(rng)
-            cond_behaviors[term.ip] = behavior
-        elif spec.terminator in (
-            TerminatorKind.INDIRECT, TerminatorKind.INDIRECT_CALL
-        ):
-            rng = self._rng.fork(10_000 + spec.bid)
-            indirect_behaviors[term.ip] = IndirectBehavior(
-                targets=[entry_ips[b] for b in spec.indirect_bids],
-                rng=rng.fork(2),
-                skew=p.indirect_skew,
+        rng = self.rng.fork(10_000 + bid)
+        if spec.cond_class == "backedge":
+            return LoopBehavior(
+                mean_trip=rng.geometric(
+                    p.mean_loop_trip, lo=3, hi=p.max_mean_trip
+                ),
+                rng=rng.fork(1),
             )
-
-    def _draw_cond_behavior(self, rng: DeterministicRng) -> BranchBehavior:
-        p = self.profile
+        if spec.cond_class == "escape":
+            # Loop breaks fire rarely: monotonic not-taken, the
+            # classic promotion candidate of §3.8.
+            return BiasedBehavior(p.escape_rate, rng.fork(6))
         kind = rng.weighted_choice(list(p.cond_mixture))
         if kind == "monotonic":
             p_taken = p.monotonic_bias if rng.random() < 0.5 else 1 - p.monotonic_bias
@@ -671,6 +704,15 @@ class ProgramGenerator:
                 pattern[0] = not pattern[0]  # avoid degenerate all-same patterns
             return PatternBehavior(pattern)
         return BiasedBehavior(0.5, rng.fork(5))
+
+    def indirect_behavior(self, ip: int) -> IndirectBehavior:
+        """Target behaviour of the indirect jump or call at *ip*."""
+        bid = self.indirect_bids[ip]
+        return IndirectBehavior(
+            targets=[self.entry_ips[b] for b in self.specs[bid].indirect_bids],
+            rng=self.rng.fork(10_000 + bid).fork(2),
+            skew=self.profile.indirect_skew,
+        )
 
 
 def generate_program(

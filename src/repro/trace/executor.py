@@ -18,6 +18,11 @@ of consecutive taken outcomes in one call and the loop body's columns
 are emitted ``k`` times via C-level array repetition instead of ``k``
 trips through the Python loop.
 
+A node is built from the blocks it fuses and nothing else (successor
+entries come from the terminator's own addresses), so on a generated
+program, which lowers blocks on first lookup, execution builds only
+the blocks the trace reaches.
+
 Both fast paths are budget-guarded so the emitted stream is
 byte-identical to plain block-at-a-time execution: a chain or batch is
 only fused when block-wise execution would provably have emitted every
@@ -245,14 +250,11 @@ class TraceExecutor:
         node.term_snext = term.next_ip
         node.taken_bid = block.taken_bid
         node.fall_bid = block.fall_bid
-        node.taken_entry = (
-            program.blocks[block.taken_bid].entry_ip
-            if block.taken_bid is not None else 0
-        )
-        node.fall_entry = (
-            program.blocks[block.fall_bid].entry_ip
-            if block.fall_bid is not None else 0
-        )
+        # A direct terminator's target is its taken successor's entry,
+        # and the fall-through successor starts right after it, so a
+        # node never lowers a successor the trace may not reach.
+        node.taken_entry = term.target if term.target is not None else 0
+        node.fall_entry = term.next_ip if block.fall_bid is not None else 0
         node.behavior = None
         node.taken_run = None
         node.cond_kind = 0
@@ -300,7 +302,11 @@ class TraceExecutor:
                     template = (
                         l_ips, l_takens, l_next_ips, l_kinds, l_nuops,
                         l_snexts, node.term_nuops + body.c_uops,
-                        1 + body.c_rows, body,
+                        1 + body.c_rows,
+                        # A node that loops back to its own start has
+                        # registered its instructions already; None
+                        # there keeps the node out of a reference cycle.
+                        body if body is not node else None,
                     )
             node.loop = template
         return node.loop
@@ -412,7 +418,10 @@ class TraceExecutor:
                             if cap > 0:
                                 k = node.taken_run(cap)
                                 body = loop[8]
-                                if k > 0 and body.epoch != epoch:
+                                if (
+                                    k > 0 and body is not None
+                                    and body.epoch != epoch
+                                ):
                                     # The batch may exhaust the loop, in
                                     # which case the body node is never
                                     # visited at the loop top — register

@@ -1,5 +1,6 @@
 """Tests for the trace-driven executor."""
 
+import copy
 from dataclasses import replace
 
 import pytest
@@ -96,15 +97,8 @@ class TestErrorPaths:
             ret_block = program.blocks[fn.block_bids[-1]]
             break
         assert ret_block is not None
-        executor = TraceExecutor(program)
-        broken = program.__class__(
-            image=program.image,
-            blocks=program.blocks,
-            functions=program.functions,
-            entry_bid=ret_block.bid,
-            cond_behaviors=program.cond_behaviors,
-            indirect_behaviors=program.indirect_behaviors,
-        )
+        broken = copy.copy(program)
+        broken.entry_bid = ret_block.bid
         with pytest.raises(SimulationError):
             TraceExecutor(broken).run(max_uops=10_000)
 
