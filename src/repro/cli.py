@@ -412,10 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded intake queue; beyond it submits get 429 "
                    "(default 64)")
     p.add_argument("--batch-max", type=int, default=8, metavar="N",
-                   help="max jobs gathered into one engine run (default 8)")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   metavar="SECONDS",
-                   help="how long to gather a batch (default 0.05)")
+                   help="max queued jobs gathered into one engine run "
+                   "(default 8)")
     p.add_argument("--serve-workers", type=int, default=1, metavar="N",
                    help="engine worker processes behind the scheduler; "
                    ">1 shards jobs by key over N persistent workers "
@@ -781,7 +779,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         port=DEFAULT_PORT if args.port is None else args.port,
         queue_size=args.queue_size,
         batch_max=args.batch_max,
-        batch_window=args.batch_window,
         serve_workers=args.serve_workers,
     )
     return run_server(app)

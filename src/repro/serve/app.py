@@ -362,7 +362,6 @@ def build_app(
     port: int = DEFAULT_PORT,
     queue_size: int = 64,
     batch_max: int = 8,
-    batch_window: float = 0.05,
     drain_manifest_dir: Optional[str] = None,
     serve_workers: int = 1,
 ) -> ServeApp:
@@ -378,7 +377,6 @@ def build_app(
         policy=policy,
         queue_size=queue_size,
         batch_max=batch_max,
-        batch_window=batch_window,
         metrics=metrics,
         shards=max(1, serve_workers),
     )

@@ -10,9 +10,12 @@ simulation service needs:
   computation and one engine run; terminal entries additionally answer
   repeat submissions from memory (the engine's persistent cache backs
   this across restarts);
-- **batching** — queued jobs are gathered (up to ``batch_max`` within
-  ``batch_window`` seconds) into one engine run so they share the
-  engine's worker pool and per-run overheads;
+- **backlog batching** — a run loop starts the next queued job the
+  moment it is free, together with whatever else is already queued
+  (up to ``batch_max``), as one engine run that shares the engine's
+  worker pool and per-run overheads.  No timer holds a job back: an
+  idle server starts a job on arrival, and batches form only from
+  the backlog that built up while the previous batch ran;
 - **backpressure + drain** — intake queues are bounded; a full queue
   rejects with :class:`Backpressure` (HTTP 429), and :meth:`drain`
   stops intake, lets in-flight batches finish, cancels queued
@@ -154,7 +157,6 @@ class Scheduler:
         policy: Optional[ExecPolicy] = None,
         queue_size: int = 64,
         batch_max: int = 8,
-        batch_window: float = 0.05,
         metrics: Optional[ServiceMetrics] = None,
         history_limit: int = 512,
         shards: int = 1,
@@ -163,7 +165,6 @@ class Scheduler:
         self.policy = policy or ExecPolicy()
         self.queue_size = queue_size
         self.batch_max = max(1, batch_max)
-        self.batch_window = batch_window
         self.metrics = metrics or ServiceMetrics()
         self.history_limit = history_limit
         self.shards = max(1, shards)
@@ -423,22 +424,19 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     async def _run_loop(self, shard: int) -> None:
-        loop = asyncio.get_running_loop()
         queue = self._queues[shard]
         while True:
             entry = await queue.get()
             if entry is _SENTINEL:
                 return
+            # The job that woke us starts now; whatever queued behind
+            # it (while the previous batch ran) rides along.
             batch = [entry]
-            deadline = loop.time() + self.batch_window
             stop_after = False
             while len(batch) < self.batch_max:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
                 try:
-                    extra = await asyncio.wait_for(queue.get(), remaining)
-                except asyncio.TimeoutError:
+                    extra = queue.get_nowait()
+                except asyncio.QueueEmpty:
                     break
                 if extra is _SENTINEL:
                     stop_after = True

@@ -81,7 +81,7 @@ def test_identical_keys_coalesce_within_a_shard():
     async def scenario():
         scheduler = Scheduler(
             policy=ExecPolicy(max_attempts=1, backoff=0.001),
-            batch_window=0.01, shards=3, use_pool=False,
+            shards=3, use_pool=False,
         )
         scheduler.start()
         first, disposition = scheduler.submit(SlowEchoJob(11, seconds=0.08))
@@ -260,7 +260,7 @@ class TestWorkerCrash:
         async def scenario():
             scheduler = Scheduler(
                 policy=_policy(tmp_path),
-                shards=2, use_pool=True, batch_window=0.01,
+                shards=2, use_pool=True,
             )
             scheduler.start()
             try:

@@ -1,4 +1,4 @@
-"""Tests for the serve scheduler: coalescing, backpressure, drain.
+"""Tests for the serve scheduler: coalescing, batching, backpressure, drain.
 
 Everything runs through ``asyncio.run`` on small duck-typed jobs
 (serial engine, no process pool) so the scheduling semantics are
@@ -64,7 +64,7 @@ def make_scheduler(**kwargs) -> Scheduler:
     policy = kwargs.pop(
         "policy", ExecPolicy(max_attempts=1, backoff=0.001)
     )
-    return Scheduler(policy=policy, batch_window=0.01, **kwargs)
+    return Scheduler(policy=policy, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +156,60 @@ def test_failed_entry_reports_error_and_allows_resubmit():
         assert disposition == "new"
         assert fresh is not entry
         await fresh.done_event.wait()
+        await scheduler.drain()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Backlog batching
+# ---------------------------------------------------------------------------
+
+
+def test_idle_scheduler_starts_a_lone_job_on_arrival():
+    """No batch window: with nothing queued behind it, a job starts in
+    the loop iteration after its submit, not after a fixed wait."""
+
+    async def scenario():
+        scheduler = make_scheduler()
+        scheduler.start()
+        entry, _ = scheduler.submit(SlowEchoJob(21, seconds=0.0))
+        await entry.done_event.wait()
+        assert entry.status == "done"
+        assert entry._mono_started - entry._mono_created < 0.04
+        await scheduler.drain()
+
+    asyncio.run(scenario())
+
+
+def test_backlog_queued_behind_a_running_batch_shares_batches():
+    """Jobs that queue while a batch runs go out together, at most
+    ``batch_max`` per engine run."""
+
+    async def scenario():
+        scheduler = make_scheduler(batch_max=2)
+        sizes = []
+        execute = scheduler._execute_batch
+
+        async def recording(shard, batch):
+            sizes.append(len(batch))
+            await execute(shard, batch)
+
+        scheduler._execute_batch = recording
+        scheduler.start()
+        slow, _ = scheduler.submit(SlowEchoJob(30, seconds=0.3))
+        while slow.status != "running":
+            await asyncio.sleep(0.001)
+        quick = [
+            scheduler.submit(SlowEchoJob(31 + index, seconds=0.0))[0]
+            for index in range(5)
+        ]
+        await asyncio.gather(
+            *[entry.done_event.wait() for entry in [slow] + quick]
+        )
+        assert [entry.payload for entry in quick] == [62, 64, 66, 68, 70]
+        assert sizes == [1, 2, 2, 1]
+        assert scheduler.metrics.engine_runs == 4
         await scheduler.drain()
 
     asyncio.run(scenario())
