@@ -9,11 +9,18 @@ each record keeps the attempt count and the final error text.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.exec.cache import _atomic_write
+
+#: Per-process run counter: keeps ids of runs started within the same
+#: second (a served batch stream, a fuzz loop) apart.
+_RUN_SEQ = itertools.count(1)
 
 
 @dataclass
@@ -84,16 +91,15 @@ class RunManifest:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def write(self, directory: str) -> str:
-        """Write ``<directory>/<run_id>.json``; returns the path."""
+        """Write ``<directory>/<run_id>.json`` atomically; returns the path."""
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{self.run_id}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
+        _atomic_write(path, self.to_json() + "\n")
         return path
 
 
 def new_run_id(label: str = "") -> str:
-    """Unique-enough manifest file stem: timestamp + pid + label."""
+    """Manifest file stem: timestamp + pid + per-process run number + label."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
     suffix = f"-{label}" if label else ""
-    return f"run-{stamp}-{os.getpid()}{suffix}"
+    return f"run-{stamp}-{os.getpid()}-{next(_RUN_SEQ)}{suffix}"

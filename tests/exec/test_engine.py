@@ -291,6 +291,29 @@ def test_manifest_written_with_expected_fields(tmp_path):
         assert job["params"]["job"] == "echo"
 
 
+def test_runs_within_one_second_keep_separate_manifests(
+    tmp_path, monkeypatch
+):
+    """Run ids once held only the second, pid and label, so a second
+    run in the same second overwrote the first one's manifest."""
+    monkeypatch.setattr(time, "strftime", lambda *args: "20260101-000000")
+    manifest_dir = str(tmp_path / "manifests")
+    policy = ExecPolicy(manifest_dir=manifest_dir)
+    paths = []
+    for value in (1, 2):
+        engine = ExecutionEngine(policy)
+        engine.run([EchoJob(value)], label="unit")
+        paths.append(engine.last_manifest_path)
+    assert len(set(paths)) == 2
+    assert sorted(os.listdir(manifest_dir)) == sorted(
+        os.path.basename(path) for path in paths
+    )
+    for path, value in zip(paths, (1, 2)):
+        with open(path) as handle:
+            document = json.load(handle)
+        assert document["jobs"][0]["params"]["value"] == value
+
+
 def test_manifest_stays_in_memory_without_cache_or_dir():
     engine = ExecutionEngine(ExecPolicy())
     engine.run([EchoJob(1)])
