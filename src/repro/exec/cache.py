@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set
 
-from repro.exec.hashing import versioned_key
+from repro.exec.hashing import stable_hash, versioned_key
 from repro.trace.record import Trace
 from repro.trace.tracefile import load_trace_auto, save_trace_binary
 
@@ -485,17 +485,27 @@ class ResultCache:
     def get(self, key: str) -> Optional[Any]:
         """Return the stored payload for *key*, or ``None`` on a miss.
 
-        A corrupt entry (interrupted write from an older, non-atomic
-        layout, disk trouble) counts as a miss and is removed.
+        An entry must name *key* and carry the digest of its payload.
+        A corrupt entry (unparsable, edited, written under another key,
+        or from an older layout without a digest) counts as a miss and
+        is removed, so the caller recomputes instead of serving it.
         """
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
+            valid = (
+                isinstance(document, dict)
+                and document.get("key") == key
+                and document.get("digest")
+                == stable_hash(document.get("payload"))
+            )
         except FileNotFoundError:
             self._misses += 1
             return None
         except (OSError, ValueError):
+            valid = False
+        if not valid:
             self._misses += 1
             try:
                 os.remove(path)
@@ -503,11 +513,14 @@ class ResultCache:
                 pass
             return None
         self._hits += 1
-        return document.get("payload")
+        return document["payload"]
 
     def put(self, key: str, payload: Any, meta: Optional[dict] = None) -> None:
-        """Store *payload* under *key* (atomic, last writer wins)."""
-        document = {"key": key, "meta": meta or {}, "payload": payload}
+        """Store *payload* and its digest under *key* (atomic, last writer wins)."""
+        document = {
+            "key": key, "meta": meta or {}, "payload": payload,
+            "digest": stable_hash(payload),
+        }
         _atomic_write(self._path(key), json.dumps(document, sort_keys=True))
 
     def stats(self) -> StoreStats:

@@ -1,5 +1,6 @@
 """Tests for the persistent trace/result stores."""
 
+import json
 import os
 
 from repro.exec.cache import (
@@ -58,6 +59,35 @@ class TestResultCache:
             handle.write("{not json")
         assert cache.get("bad") is None
         assert not os.path.exists(path)
+
+    def test_edited_entry_is_a_miss_and_removed(self, tmp_path):
+        """Valid JSON with one payload number changed fails its digest."""
+        cache = ResultCache(str(tmp_path))
+        cache.put("edited", {"cycles": 100, "uops": 7})
+        path = os.path.join(cache.dir, "edited.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document["payload"]["cycles"] += 1
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        assert cache.get("edited") is None
+        assert not os.path.exists(path)
+
+    def test_entry_without_digest_is_a_miss_and_removed(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        path = os.path.join(cache.dir, "bare.json")
+        with open(path, "w") as handle:
+            json.dump({"key": "bare", "meta": {}, "payload": {"x": 1}}, handle)
+        assert cache.get("bare") is None
+        assert not os.path.exists(path)
+
+    def test_entry_naming_another_key_is_a_miss_and_removed(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cache.put("other", {"x": 1})
+        moved = os.path.join(cache.dir, "mine.json")
+        os.replace(os.path.join(cache.dir, "other.json"), moved)
+        assert cache.get("mine") is None
+        assert not os.path.exists(moved)
 
     def test_atomic_overwrite_last_writer_wins(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -2,11 +2,13 @@
 
 A job that times out, dies with its worker, or is cancelled mid-run
 must leave *no* entry (visible or temp) in the result cache, so the
-next run recomputes instead of serving a phantom result.
+next run recomputes instead of serving a phantom result.  An entry
+edited on disk fails its digest and is recomputed the same way.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import time
@@ -94,6 +96,32 @@ class SlowCacheableJob:
 
     def describe(self):
         return {"job": "slow-cacheable", "tag": self.tag}
+
+
+class CountingJob:
+    """Cacheable job that counts its executions in a file."""
+
+    def __init__(self, counter_path: str, value: int) -> None:
+        self.counter_path = counter_path
+        self.value = value
+
+    def execute(self):
+        _bump(self.counter_path)
+        return self.value * 2
+
+    def key_payload(self):
+        return {"kind": "test-counting", "value": self.value}
+
+    @staticmethod
+    def encode_result(value):
+        return value
+
+    @staticmethod
+    def decode_result(payload):
+        return payload
+
+    def describe(self):
+        return {"job": "counting", "value": self.value}
 
 
 class PadJob:
@@ -241,3 +269,28 @@ def test_failed_job_is_not_cached_even_with_strict_false(tmp_path):
     assert not result.ok
     assert "boom" in result.error
     assert ResultCache(cache_dir).get(job_key(job)) is None
+
+
+def test_edited_entry_is_resimulated_not_served(tmp_path):
+    """A cache entry whose payload was changed on disk (still valid
+    JSON) must be re-simulated, and the engine returns the true value."""
+    cache_dir = str(tmp_path / "cache")
+    counter = str(tmp_path / "executions")
+    policy = ExecPolicy(use_cache=True, cache_dir=cache_dir)
+    job = CountingJob(counter, value=8)
+    first = ExecutionEngine(policy).run([job])[0]
+    assert (first.cached, first.value) == (False, 16)
+
+    path = os.path.join(cache_dir, "results", f"{job_key(job)}.json")
+    with open(path) as handle:
+        document = json.load(handle)
+    document["payload"] += 1
+    with open(path, "w") as handle:
+        json.dump(document, handle)
+
+    second = ExecutionEngine(policy).run([CountingJob(counter, value=8)])[0]
+    assert (second.cached, second.value) == (False, 16)
+    with open(counter) as handle:
+        assert handle.read() == "2"
+    third = ExecutionEngine(policy).run([CountingJob(counter, value=8)])[0]
+    assert (third.cached, third.value) == (True, 16)
