@@ -15,7 +15,8 @@ for a different experiment point and a code-version bump invalidates
 everything at once.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent workers
-racing on the same key leave a valid file either way.  On top of that
+racing on the same key leave a valid file either way, and a result
+entry carries a digest of its payload that reads verify.  On top of that
 discipline, :class:`Claims` provides cross-process work claims: a
 worker that is about to *compute* a key first creates
 ``claims/<key>.claim`` with ``O_EXCL``, so concurrent workers (shards
@@ -494,18 +495,16 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
-            valid = (
-                isinstance(document, dict)
-                and document.get("key") == key
-                and document.get("digest")
-                == stable_hash(document.get("payload"))
-            )
         except FileNotFoundError:
             self._misses += 1
             return None
         except (OSError, ValueError):
-            valid = False
-        if not valid:
+            document = None
+        if not (
+            isinstance(document, dict)
+            and document.get("key") == key
+            and document.get("digest") == stable_hash(document.get("payload"))
+        ):
             self._misses += 1
             try:
                 os.remove(path)
@@ -516,7 +515,7 @@ class ResultCache:
         return document["payload"]
 
     def put(self, key: str, payload: Any, meta: Optional[dict] = None) -> None:
-        """Store *payload* and its digest under *key* (atomic, last writer wins)."""
+        """Store *payload* + digest under *key* (atomic, last writer wins)."""
         document = {
             "key": key, "meta": meta or {}, "payload": payload,
             "digest": stable_hash(payload),

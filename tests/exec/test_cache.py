@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.exec.cache import (
     ResultCache,
     TraceStore,
@@ -60,34 +62,24 @@ class TestResultCache:
         assert cache.get("bad") is None
         assert not os.path.exists(path)
 
-    def test_edited_entry_is_a_miss_and_removed(self, tmp_path):
-        """Valid JSON with one payload number changed fails its digest."""
+    @pytest.mark.parametrize("tamper", ["edited", "no-digest", "other-key"])
+    def test_unverified_entry_is_a_miss_and_removed(self, tmp_path, tamper):
+        """Valid JSON whose payload digest or key does not check out."""
         cache = ResultCache(str(tmp_path))
-        cache.put("edited", {"cycles": 100, "uops": 7})
-        path = os.path.join(cache.dir, "edited.json")
+        cache.put("k", {"cycles": 100, "uops": 7})
+        path = os.path.join(cache.dir, "k.json")
         with open(path) as handle:
             document = json.load(handle)
-        document["payload"]["cycles"] += 1
+        if tamper == "edited":
+            document["payload"]["cycles"] += 1
+        elif tamper == "no-digest":
+            del document["digest"]
+        else:
+            document["key"] = "other"
         with open(path, "w") as handle:
             json.dump(document, handle)
-        assert cache.get("edited") is None
+        assert cache.get("k") is None
         assert not os.path.exists(path)
-
-    def test_entry_without_digest_is_a_miss_and_removed(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        path = os.path.join(cache.dir, "bare.json")
-        with open(path, "w") as handle:
-            json.dump({"key": "bare", "meta": {}, "payload": {"x": 1}}, handle)
-        assert cache.get("bare") is None
-        assert not os.path.exists(path)
-
-    def test_entry_naming_another_key_is_a_miss_and_removed(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cache.put("other", {"x": 1})
-        moved = os.path.join(cache.dir, "mine.json")
-        os.replace(os.path.join(cache.dir, "other.json"), moved)
-        assert cache.get("mine") is None
-        assert not os.path.exists(moved)
 
     def test_atomic_overwrite_last_writer_wins(self, tmp_path):
         cache = ResultCache(str(tmp_path))

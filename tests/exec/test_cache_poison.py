@@ -98,32 +98,6 @@ class SlowCacheableJob:
         return {"job": "slow-cacheable", "tag": self.tag}
 
 
-class CountingJob:
-    """Cacheable job that counts its executions in a file."""
-
-    def __init__(self, counter_path: str, value: int) -> None:
-        self.counter_path = counter_path
-        self.value = value
-
-    def execute(self):
-        _bump(self.counter_path)
-        return self.value * 2
-
-    def key_payload(self):
-        return {"kind": "test-counting", "value": self.value}
-
-    @staticmethod
-    def encode_result(value):
-        return value
-
-    @staticmethod
-    def decode_result(payload):
-        return payload
-
-    def describe(self):
-        return {"job": "counting", "value": self.value}
-
-
 class PadJob:
     """Filler so the pool has two pending jobs and runs in parallel."""
 
@@ -277,7 +251,8 @@ def test_edited_entry_is_resimulated_not_served(tmp_path):
     cache_dir = str(tmp_path / "cache")
     counter = str(tmp_path / "executions")
     policy = ExecPolicy(use_cache=True, cache_dir=cache_dir)
-    job = CountingJob(counter, value=8)
+    # Inline runs: the job never kills, it only counts its executions.
+    job = KillWorkerJob(counter, os.getpid(), value=8)
     first = ExecutionEngine(policy).run([job])[0]
     assert (first.cached, first.value) == (False, 16)
 
@@ -288,9 +263,9 @@ def test_edited_entry_is_resimulated_not_served(tmp_path):
     with open(path, "w") as handle:
         json.dump(document, handle)
 
-    second = ExecutionEngine(policy).run([CountingJob(counter, value=8)])[0]
+    second = ExecutionEngine(policy).run([job])[0]
     assert (second.cached, second.value) == (False, 16)
     with open(counter) as handle:
         assert handle.read() == "2"
-    third = ExecutionEngine(policy).run([CountingJob(counter, value=8)])[0]
+    third = ExecutionEngine(policy).run([job])[0]
     assert (third.cached, third.value) == (True, 16)
