@@ -174,7 +174,7 @@ def test_idle_scheduler_starts_a_lone_job_on_arrival():
         scheduler = make_scheduler()
         scheduler.start()
         entry, _ = scheduler.submit(SlowEchoJob(21, seconds=0.0))
-        await entry.done_event.wait()
+        await asyncio.wait_for(entry.done_event.wait(), timeout=10.0)
         assert entry.status == "done"
         assert entry._mono_started - entry._mono_created < 0.04
         await scheduler.drain()
@@ -198,15 +198,19 @@ def test_backlog_queued_behind_a_running_batch_shares_batches():
         scheduler._execute_batch = recording
         scheduler.start()
         slow, _ = scheduler.submit(SlowEchoJob(30, seconds=0.3))
-        while slow.status != "running":
-            await asyncio.sleep(0.001)
+
+        async def slow_running():
+            while slow.status != "running":
+                await asyncio.sleep(0.001)
+
+        await asyncio.wait_for(slow_running(), timeout=10.0)
         quick = [
             scheduler.submit(SlowEchoJob(31 + index, seconds=0.0))[0]
             for index in range(5)
         ]
-        await asyncio.gather(
+        await asyncio.wait_for(asyncio.gather(
             *[entry.done_event.wait() for entry in [slow] + quick]
-        )
+        ), timeout=10.0)
         assert [entry.payload for entry in quick] == [62, 64, 66, 68, 70]
         assert sizes == [1, 2, 2, 1]
         assert scheduler.metrics.engine_runs == 4
