@@ -294,8 +294,8 @@ def test_manifest_written_with_expected_fields(tmp_path):
 def test_runs_within_one_second_keep_separate_manifests(
     tmp_path, monkeypatch
 ):
-    """Run ids once held only the second, pid and label, so a second
-    run in the same second overwrote the first one's manifest."""
+    """Two runs started in the same second each keep their own
+    manifest file."""
     monkeypatch.setattr(time, "strftime", lambda *args: "20260101-000000")
     manifest_dir = str(tmp_path / "manifests")
     policy = ExecPolicy(manifest_dir=manifest_dir)

@@ -167,8 +167,7 @@ def test_failed_entry_reports_error_and_allows_resubmit():
 
 
 def test_idle_scheduler_starts_a_lone_job_on_arrival():
-    """No batch window: with nothing queued behind it, a job starts in
-    the loop iteration after its submit, not after a fixed wait."""
+    """A lone job on an idle scheduler starts without waiting."""
 
     async def scenario():
         scheduler = make_scheduler()
