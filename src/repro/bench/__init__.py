@@ -19,19 +19,15 @@ from repro.bench.harness import (
     write_report,
 )
 from repro.bench.serve import (
-    format_serve_bench,
     format_serve_load,
-    run_serve_bench,
     run_serve_load,
 )
 
 __all__ = [
     "format_report",
-    "format_serve_bench",
     "format_serve_load",
     "resolve_phases",
     "run_bench",
-    "run_serve_bench",
     "run_serve_load",
     "write_report",
 ]

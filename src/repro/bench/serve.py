@@ -1,25 +1,16 @@
-"""Serve-mode latency and saturation benchmarks.
+"""The serve-mode saturation benchmark (``repro bench --serve-load``).
 
-Two harnesses live here:
-
-- :func:`run_serve_bench` (``repro bench --serve``) measures the
-  per-request overhead a single sweep client experiences: a
-  :class:`~repro.serve.app.BackgroundServer` is started on an
-  ephemeral port, one cold request pays the real simulation, then a
-  stream of identical requests measures the warm path (submit →
-  memoized/cached answer → result fetched).
-- :func:`run_serve_load` (``repro bench --serve-load``) measures what
-  the service does *under saturation*: for each worker count in a
-  stage list it starts a fresh server (fresh cache, so cold traffic
-  is really cold) and drives it with many concurrent client threads
-  submitting a mixed cold/warm request stream for a bounded duration.
-  Latencies are recorded into the same fixed-bucket
-  :class:`~repro.serve.metrics.LatencyHistogram` the server's
-  ``/metrics`` endpoint uses, so the harness's p50/p99 and the
-  server's are read from identical buckets.  Each stage reports
-  saturation throughput (requests/s and served uops/s), latency
-  quantiles, and the error/backpressure counts (client retries, 429
-  rejections, failures) that tell saturation apart from collapse.
+:func:`run_serve_load` measures what the service does *under
+saturation*: for each worker count in a stage list it starts a fresh
+server (fresh cache, so cold traffic is really cold) and drives it
+with many concurrent client threads submitting a mixed cold/warm
+request stream for a bounded duration.  Latencies are recorded into
+the same fixed-bucket :class:`~repro.serve.metrics.LatencyHistogram`
+the server's ``/metrics`` endpoint uses, so the harness's p50/p99 and
+the server's are read from identical buckets.  Each stage reports
+saturation throughput (requests/s and served uops/s), latency
+quantiles, and the error/backpressure counts (client retries, 429
+rejections, failures) that tell saturation apart from collapse.
 
 Reported latencies are end-to-end over HTTP on localhost, so they
 include request parsing, scheduling and JSON encoding — the things
@@ -38,88 +29,6 @@ from typing import Any, Dict, List, Optional, Sequence
 #: Default worker-count stages for ``--serve-load`` (the scaling
 #: table: single-worker baseline, then 2x and 4x sharded pools).
 DEFAULT_LOAD_WORKERS = (1, 2, 4)
-
-
-def run_serve_bench(
-    requests: int = 32,
-    length: int = 20_000,
-    total_uops: int = 2048,
-    workers: int = 2,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run the latency benchmark; returns the ``serve`` report section."""
-    from repro.exec.engine import ExecPolicy
-    from repro.serve.app import BackgroundServer, build_app
-    from repro.serve.client import ServeClient
-
-    policy = ExecPolicy(
-        workers=workers, use_cache=True, cache_dir=cache_dir, progress=False
-    )
-    app = build_app(policy=policy, port=0, queue_size=max(64, requests * 2))
-    server = BackgroundServer(app)
-    base_url = server.start()
-    try:
-        client = ServeClient(base_url, timeout=120.0)
-        request = {
-            "kind": "sim", "frontend": "xbc", "suite": "specint",
-            "index": 0, "length": length, "total_uops": total_uops,
-        }
-
-        t0 = time.perf_counter()
-        acknowledgement = client.submit(request)
-        document = client.wait(acknowledgement["job_id"], timeout=120.0)
-        cold_seconds = time.perf_counter() - t0
-        if document["status"] != "done":
-            raise RuntimeError(
-                f"cold serve request failed: {document.get('error')}"
-            )
-
-        warm: List[float] = []
-        for _ in range(requests):
-            t0 = time.perf_counter()
-            acknowledgement = client.submit(request)
-            document = client.wait(acknowledgement["job_id"], timeout=120.0)
-            warm.append(time.perf_counter() - t0)
-        warm.sort()
-
-        def quantile(q: float) -> float:
-            rank = min(len(warm) - 1, max(0, round(q * (len(warm) - 1))))
-            return warm[rank]
-
-        metrics = client.metrics()
-        return {
-            "requests": requests,
-            "length_uops": length,
-            "total_uops": total_uops,
-            "cold_ms": round(cold_seconds * 1000.0, 3),
-            "warm_p50_ms": round(quantile(0.50) * 1000.0, 3),
-            "warm_p95_ms": round(quantile(0.95) * 1000.0, 3),
-            "warm_mean_ms": round(
-                sum(warm) / len(warm) * 1000.0, 3
-            ),
-            "warm_requests_per_sec": round(
-                len(warm) / sum(warm), 1
-            ),
-            "server_jobs": metrics["jobs"],
-        }
-    finally:
-        server.stop()
-
-
-def format_serve_bench(section: Dict[str, object]) -> str:
-    """Human-readable rendering for the CLI."""
-    return (
-        f"  serve            cold {section['cold_ms']:.1f} ms, "
-        f"warm p50 {section['warm_p50_ms']:.1f} ms / "
-        f"p95 {section['warm_p95_ms']:.1f} ms "
-        f"({section['warm_requests_per_sec']:,.0f} req/s over "
-        f"{section['requests']} warm requests)"
-    )
-
-
-# ----------------------------------------------------------------------
-# saturation load harness (``repro bench --serve-load``)
-# ----------------------------------------------------------------------
 
 
 def _load_stage(
@@ -144,14 +53,11 @@ def _load_stage(
     )
     from repro.serve.metrics import LatencyHistogram
 
-    # One engine thread per shard: the scaling the stage measures must
-    # come from adding *worker processes*, not from hidden threads.
+    # *workers* key-sharded worker processes, as ``repro serve --jobs``.
     policy = ExecPolicy(
-        workers=1, use_cache=True, cache_dir=cache_dir, progress=False
+        workers=workers, use_cache=True, cache_dir=cache_dir, progress=False
     )
-    app = build_app(
-        policy=policy, port=0, queue_size=queue_size, serve_workers=workers
-    )
+    app = build_app(policy=policy, port=0, queue_size=queue_size)
     server = BackgroundServer(app)
     base_url = server.start()
     try:

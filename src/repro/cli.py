@@ -125,10 +125,13 @@ def _registry(args: argparse.Namespace):
     )
 
 
-def _add_exec_args(parser: argparse.ArgumentParser) -> None:
+def _add_exec_args(
+    parser: argparse.ArgumentParser,
+    jobs_help: str = "worker processes for simulation jobs "
+    "(default 1 = serial)",
+) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for simulation jobs (default 1 = serial)",
+        "--jobs", type=int, default=1, metavar="N", help=jobs_help,
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -264,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also cProfile one xbc run, dump stats to FILE")
     p.add_argument("--out", metavar="DIR", default=".",
                    help="directory for BENCH_<rev>.json (default .)")
-    p.add_argument("--serve", action="store_true",
-                   help="also measure serve-mode request latency "
-                   "(cold + warm p50/p95 over HTTP)")
     p.add_argument("--serve-load", action="store_true",
                    help="also run the saturation load harness: many "
                    "concurrent clients, mixed cold/warm traffic, one "
@@ -414,11 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-max", type=int, default=8, metavar="N",
                    help="max queued jobs gathered into one engine run "
                    "(default 8)")
-    p.add_argument("--serve-workers", type=int, default=1, metavar="N",
-                   help="engine worker processes behind the scheduler; "
-                   ">1 shards jobs by key over N persistent workers "
-                   "(default 1 = classic in-process engine)")
-    _add_exec_args(p)
+    _add_exec_args(p, jobs_help="worker processes, jobs sharded over "
+                   "them by key (default 1 = in-process engine)")
 
     p = sub.add_parser(
         "submit", help="submit one job to a running server "
@@ -596,18 +593,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        serve_line = None
-        if args.serve:
-            from repro.bench.serve import format_serve_bench, run_serve_bench
-
-            report["serve"] = run_serve_bench(
-                requests=8 if args.quick else 32,
-                length=min(args.budget, 20_000),
-            )
-            serve_line = format_serve_bench(report["serve"])
         print(format_report(report))
-        if serve_line:
-            print(serve_line)
         if report.get("serve_load"):
             from repro.bench.serve import format_serve_load
 
@@ -750,7 +736,7 @@ def _dispatch_cache(args: argparse.Namespace) -> int:
         root, max_age=max_age, max_bytes=max_bytes, dry_run=args.dry_run
     )
     verb = "would remove" if args.dry_run else "removed"
-    for name in ("traces", "results", "manifests", "claims"):
+    for name in ("traces", "results", "manifests"):
         report = reports[name]
         print(
             f"[{name}] {verb} {report.removed_entries} entries "
@@ -779,7 +765,6 @@ def _dispatch_serve(args: argparse.Namespace) -> int:
         port=DEFAULT_PORT if args.port is None else args.port,
         queue_size=args.queue_size,
         batch_max=args.batch_max,
-        serve_workers=args.serve_workers,
     )
     return run_server(app)
 

@@ -28,8 +28,6 @@ schema.
 """
 
 from repro.exec.cache import (
-    CLAIM_TTL_SECONDS,
-    Claims,
     DiskCacheStats,
     PruneReport,
     ResultCache,
@@ -53,9 +51,7 @@ from repro.exec.manifest import JobRecord, RunManifest
 
 __all__ = [
     "BlockStatsJob",
-    "CLAIM_TTL_SECONDS",
     "CODE_VERSION",
-    "Claims",
     "DiskCacheStats",
     "ExecPolicy",
     "ExecutionEngine",

@@ -5,7 +5,6 @@ with ``--cache-dir`` or the ``REPRO_CACHE_DIR`` environment variable)::
 
     <root>/traces/<key>.trace     serialized synthetic traces
     <root>/results/<key>.json     encoded job results
-    <root>/claims/<key>.claim     in-progress computation claims
     <root>/manifests/run-*.json   run manifests (written by the engine)
 
 Keys come from :mod:`repro.exec.hashing`: a stable SHA-256 over the
@@ -16,26 +15,18 @@ everything at once.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent workers
 racing on the same key leave a valid file either way, and a result
-entry carries a digest of its payload that reads verify.  On top of that
-discipline, :class:`Claims` provides cross-process work claims: a
-worker that is about to *compute* a key first creates
-``claims/<key>.claim`` with ``O_EXCL``, so concurrent workers (shards
-of one server, or independent processes sharing the root) can see the
-computation is in flight and wait for the result instead of running
-the same simulation twice.  A claim whose holder died — or that
-outlived :data:`CLAIM_TTL_SECONDS` — is *stale* and may be broken and
-taken over; pruning treats active claims as protection for the claimed
-entry and stale claims as debris.
+entry carries a digest of its payload that reads verify.  Two
+processes sharing one root therefore at worst compute a key twice;
+neither can read a partial or foreign entry.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
 from repro.exec.hashing import stable_hash, versioned_key
 from repro.trace.record import Trace
@@ -119,149 +110,6 @@ class PruneReport:
 #: long before a prune treats them as orphaned debris.
 _TMP_GRACE_SECONDS = 15 * 60
 
-#: A claim older than this is stale regardless of its recorded holder:
-#: simulation jobs are bounded to seconds, so an hours-old claim marks
-#: a crashed or wedged writer, not real work.
-CLAIM_TTL_SECONDS = 15 * 60
-
-
-class Claims:
-    """Cross-process work claims for content-addressed cache keys.
-
-    :meth:`acquire` is the only write primitive: it creates
-    ``claims/<key>.claim`` with ``O_CREAT | O_EXCL`` (atomic on every
-    platform the repo targets), so exactly one process wins the right
-    to compute a key.  Everyone else sees :meth:`is_active` and waits
-    for the result entry to appear instead of recomputing.  The file
-    records holder pid + host; a holder that died (checkable on the
-    same host) or a claim past :data:`CLAIM_TTL_SECONDS` is stale and
-    can be broken by the next :meth:`acquire`.
-
-    Claims are advisory: losing one never corrupts anything, because
-    result writes stay atomic and last-writer-wins on identical
-    content.  They exist to keep N serve shards (or a serve instance
-    plus CLI runs) from burning N cores on one key.
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self.dir = os.path.join(root, "claims")
-        os.makedirs(self.dir, exist_ok=True)
-
-    def path(self, key: str) -> str:
-        """The claim-file path for *key*."""
-        return os.path.join(self.dir, f"{key}.claim")
-
-    def acquire(self, key: str) -> bool:
-        """Try to claim *key*; breaks a stale claim first.
-
-        Returns ``True`` when this process now holds the claim.
-        """
-        path = self.path(key)
-        for _ in range(2):  # second try only after breaking a stale claim
-            try:
-                descriptor = os.open(
-                    path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-                )
-            except FileExistsError:
-                if not self._stale(path):
-                    return False
-                try:
-                    os.remove(path)
-                except OSError:
-                    return False
-                continue
-            except OSError:
-                return True  # unusable claims dir: claim-free operation
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"pid": os.getpid(), "host": platform.node(),
-                     "created": time.time()},
-                    handle,
-                )
-            return True
-        return False
-
-    def release(self, key: str) -> None:
-        """Drop this process's claim on *key* (idempotent)."""
-        try:
-            os.remove(self.path(key))
-        except OSError:
-            pass
-
-    def is_active(self, key: str) -> bool:
-        """Whether *key* is claimed by a live, recent holder."""
-        path = self.path(key)
-        return os.path.exists(path) and not self._stale(path)
-
-    def active_keys(self) -> Set[str]:
-        """Keys under live claims (for prune protection)."""
-        keys: Set[str] = set()
-        try:
-            with os.scandir(self.dir) as it:
-                for entry in it:
-                    if not entry.name.endswith(".claim"):
-                        continue
-                    if not self._stale(entry.path):
-                        keys.add(entry.name[: -len(".claim")])
-        except OSError:
-            pass
-        return keys
-
-    def sweep(self, dry_run: bool = False) -> PruneReport:
-        """Remove stale claim files; returns what one pass cleaned up."""
-        report = PruneReport()
-        try:
-            with os.scandir(self.dir) as it:
-                entries = [
-                    (entry.path, entry.stat().st_mtime, entry.stat().st_size)
-                    for entry in it
-                    if entry.is_file() and entry.name.endswith(".claim")
-                ]
-        except OSError:
-            return report
-        for path, _, size in entries:
-            if self._stale(path):
-                if not dry_run:
-                    try:
-                        os.remove(path)
-                    except OSError:
-                        continue
-                report.removed_entries += 1
-                report.removed_bytes += size
-            else:
-                report.kept_entries += 1
-                report.kept_bytes += size
-        return report
-
-    @staticmethod
-    def _stale(path: str) -> bool:
-        """A claim is stale when it is old or its local holder is dead."""
-        try:
-            age = time.time() - os.stat(path).st_mtime
-        except OSError:
-            return False  # vanished: the holder just released it
-        if age > CLAIM_TTL_SECONDS:
-            return True
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                holder = json.load(handle)
-        except (OSError, ValueError):
-            # Unreadable mid-write claim: trust the mtime check alone.
-            return False
-        if holder.get("host") != platform.node():
-            return False  # cannot probe a remote holder; rely on the TTL
-        pid = holder.get("pid")
-        if not isinstance(pid, int) or pid <= 0:
-            return True
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except (OSError, PermissionError):
-            return False  # exists but not ours to signal
-        return False
-
 
 def _is_tmp(path: str) -> bool:
     """Whether *path* is an atomic-write temp file (never a valid entry)."""
@@ -296,69 +144,52 @@ def _scan_files(path: str, suffix: str):
     return files
 
 
-def _claim_protected(path: str, protected: Optional[Set[str]]) -> bool:
-    """Whether *path* belongs to an actively-claimed key.
-
-    Protection is by key stem: an active claim on ``<key>`` shields
-    ``<key>.json`` / ``<key>.trace`` *and* that key's in-progress
-    ``*.tmp.<pid>`` files, so pruning concurrently with a mid-write
-    shard can never delete the entry it is producing.
-    """
-    if not protected:
-        return False
-    name = os.path.basename(path)
-    stem = name.split(".", 1)[0]
-    return stem in protected
-
-
 def _prune_files(
-    files,
+    stores: Dict[str, list],
     max_age: Optional[float] = None,
     max_bytes: Optional[int] = None,
     dry_run: bool = False,
-    protected: Optional[Set[str]] = None,
-) -> PruneReport:
-    """Apply age then size limits to *files*, oldest entries first.
+) -> Dict[str, PruneReport]:
+    """Apply age then size limits to every store's files, oldest first.
 
-    Entries under an active claim (*protected* keys) are never removed
-    — a concurrent worker is computing or just computed them.
+    *stores* maps a store name to its :func:`_scan_files` list.  The
+    byte budget bounds the union of all stores: eviction goes by age,
+    not by directory.  Returns one :class:`PruneReport` per store.
     """
-    report = PruneReport()
     now = time.time()
     doomed = []
     kept = []
-    for item in files:
-        path, mtime, _ = item
-        if _claim_protected(path, protected):
-            kept.append(item)
-        elif _is_tmp(path):
-            doomed.append(item)  # orphaned atomic-write debris
-        elif max_age is not None and now - mtime > max_age:
-            doomed.append(item)
-        else:
-            kept.append(item)
+    for name, files in stores.items():
+        for path, mtime, size in files:
+            item = (path, mtime, size, name)
+            if _is_tmp(path):
+                doomed.append(item)  # orphaned atomic-write debris
+            elif max_age is not None and now - mtime > max_age:
+                doomed.append(item)
+            else:
+                kept.append(item)
     if max_bytes is not None:
         kept.sort(key=lambda item: item[1])  # oldest first
-        total = sum(size for _, _, size in kept)
-        index = 0
-        while index < len(kept) and total > max_bytes:
-            if _claim_protected(kept[index][0], protected):
-                index += 1
-                continue
-            item = kept.pop(index)
-            total -= item[2]
-            doomed.append(item)
-    for path, _, size in doomed:
+        total = sum(item[2] for item in kept)
+        evicted = 0
+        while evicted < len(kept) and total > max_bytes:
+            total -= kept[evicted][2]
+            evicted += 1
+        doomed += kept[:evicted]
+        kept = kept[evicted:]
+    reports = {name: PruneReport() for name in stores}
+    for path, _, size, name in doomed:
         if not dry_run:
             try:
                 os.remove(path)
             except OSError:
                 continue
-        report.removed_entries += 1
-        report.removed_bytes += size
-    report.kept_entries = len(kept)
-    report.kept_bytes = sum(size for _, _, size in kept)
-    return report
+        reports[name].removed_entries += 1
+        reports[name].removed_bytes += size
+    for _, _, size, name in kept:
+        reports[name].kept_entries += 1
+        reports[name].kept_bytes += size
+    return reports
 
 
 def prune_cache(
@@ -370,85 +201,22 @@ def prune_cache(
     """Prune a whole cache root: traces, results and run manifests.
 
     *max_age* (seconds) removes entries older than the cutoff;
-    *max_bytes* then evicts oldest-first until each store fits the
-    budget (the budget applies to the combined root, apportioned by
-    evicting globally-oldest entries).  Orphaned atomic-write temp
-    files past their grace period are always removed, as are stale
-    claim files; entries whose key is under an *active* claim are
-    never removed, whatever the limits say — a concurrent worker is
-    mid-computation on them.  Returns one :class:`PruneReport` per
-    store (including ``"claims"``) plus a ``"total"`` roll-up.
+    *max_bytes* then evicts the globally-oldest entries until the
+    combined root fits the budget.  Orphaned atomic-write temp files
+    past their grace period are always removed.  Returns one
+    :class:`PruneReport` per store plus a ``"total"`` roll-up.
     """
     root = root or default_cache_dir()
-    stores = {
-        "traces": _scan_files(os.path.join(root, "traces"), ".trace"),
-        "results": _scan_files(os.path.join(root, "results"), ".json"),
-        "manifests": _scan_files(os.path.join(root, "manifests"), ".json"),
-    }
-    # Claims are read *after* the store scan: a worker claims before it
-    # writes, so every scanned entry a live worker is producing is
-    # covered by a claim this later read will see — the scan/claim
-    # ordering cannot race a claimed entry into the doomed list.
-    try:
-        claims = Claims(root)
-        protected = claims.active_keys()
-        claims_report = claims.sweep(dry_run=dry_run)
-    except OSError:
-        protected = set()
-        claims_report = PruneReport()
-    reports: Dict[str, PruneReport] = {}
-    if max_bytes is None:
-        for name, files in stores.items():
-            reports[name] = _prune_files(
-                files, max_age=max_age, dry_run=dry_run,
-                protected=protected,
-            )
-    else:
-        # One global oldest-first eviction over every store so the
-        # byte budget bounds the root, not each directory separately:
-        # age cutoff first, then evict globally-oldest entries until
-        # the combined survivors fit the budget.
-        by_age = [item for files in stores.values() for item in files]
-        now = time.time()
-        doomed = []
-        kept = []
-        for item in by_age:
-            if _claim_protected(item[0], protected):
-                kept.append(item)
-            elif _is_tmp(item[0]):
-                doomed.append(item)  # orphaned atomic-write debris
-            elif max_age is not None and now - item[1] > max_age:
-                doomed.append(item)
-            else:
-                kept.append(item)
-        kept.sort(key=lambda item: item[1])
-        total = sum(size for _, _, size in kept)
-        index = 0
-        while index < len(kept) and total > max_bytes:
-            if _claim_protected(kept[index][0], protected):
-                index += 1
-                continue
-            item = kept.pop(index)
-            total -= item[2]
-            doomed.append(item)
-        doomed_paths = {item[0] for item in doomed}
-        for name, files in stores.items():
-            report = PruneReport()
-            for item in files:
-                path, _, size = item
-                if path in doomed_paths:
-                    if not dry_run:
-                        try:
-                            os.remove(path)
-                        except OSError:
-                            continue
-                    report.removed_entries += 1
-                    report.removed_bytes += size
-                else:
-                    report.kept_entries += 1
-                    report.kept_bytes += size
-            reports[name] = report
-    reports["claims"] = claims_report
+    reports = _prune_files(
+        {
+            "traces": _scan_files(os.path.join(root, "traces"), ".trace"),
+            "results": _scan_files(os.path.join(root, "results"), ".json"),
+            "manifests": _scan_files(
+                os.path.join(root, "manifests"), ".json"
+            ),
+        },
+        max_age=max_age, max_bytes=max_bytes, dry_run=dry_run,
+    )
     total = PruneReport()
     for report in reports.values():
         total.merge(report)
@@ -536,16 +304,11 @@ class ResultCache:
         max_bytes: Optional[int] = None,
         dry_run: bool = False,
     ) -> PruneReport:
-        """Remove old entries / shrink to a byte budget (oldest first).
-
-        Entries under an active claim (a concurrent worker is
-        mid-computation) are never removed.
-        """
+        """Remove old entries / shrink to a byte budget (oldest first)."""
         return _prune_files(
-            _scan_files(self.dir, ".json"),
+            {"results": _scan_files(self.dir, ".json")},
             max_age=max_age, max_bytes=max_bytes, dry_run=dry_run,
-            protected=Claims(self.root).active_keys(),
-        )
+        )["results"]
 
 
 class TraceStore:
@@ -623,16 +386,11 @@ class TraceStore:
         max_bytes: Optional[int] = None,
         dry_run: bool = False,
     ) -> PruneReport:
-        """Remove old entries / shrink to a byte budget (oldest first).
-
-        Entries under an active claim (a concurrent worker is
-        mid-computation) are never removed.
-        """
+        """Remove old entries / shrink to a byte budget (oldest first)."""
         return _prune_files(
-            _scan_files(self.dir, ".trace"),
+            {"traces": _scan_files(self.dir, ".trace")},
             max_age=max_age, max_bytes=max_bytes, dry_run=dry_run,
-            protected=Claims(self.root).active_keys(),
-        )
+        )["traces"]
 
 
 @dataclass

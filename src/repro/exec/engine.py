@@ -4,11 +4,7 @@
 :mod:`repro.exec.job`) and runs them under an :class:`ExecPolicy`:
 
 1. **cache resolution** — jobs whose result key is already in the
-   persistent store are answered immediately, without a worker; with
-   ``policy.coordinate`` the remaining misses are claimed via
-   :class:`~repro.exec.cache.Claims` first, and keys another process
-   already claimed are *waited for* instead of recomputed (stale or
-   abandoned claims are taken over);
+   persistent store are answered immediately, without a worker;
 2. **fan-out** — remaining jobs go to a ``ProcessPoolExecutor`` with
    ``policy.workers`` processes (``workers <= 1`` runs inline), each
    worker optionally enforcing a per-job wall-clock timeout via
@@ -38,13 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.common.errors import ExecutionError
-from repro.exec.cache import (
-    CLAIM_TTL_SECONDS,
-    Claims,
-    ResultCache,
-    TraceStore,
-    default_cache_dir,
-)
+from repro.exec.cache import ResultCache, TraceStore, default_cache_dir
 from repro.exec.hashing import versioned_key
 from repro.exec.manifest import JobRecord, RunManifest, new_run_id
 
@@ -90,12 +80,6 @@ class ExecPolicy:
     #: manifest output directory; defaults to ``<cache>/manifests``
     #: when caching is enabled, else manifests stay in memory only.
     manifest_dir: Optional[str] = None
-    #: cross-process claim coordination on the shared cache: claim a
-    #: key before computing it and wait for (rather than recompute) a
-    #: key another process has claimed.  For concurrent engines
-    #: sharing one cache root (serve-mode worker shards); needs
-    #: ``use_cache``.
-    coordinate: bool = False
 
     def resolved_cache_dir(self) -> str:
         """The cache root this policy would use."""
@@ -303,40 +287,16 @@ class ExecutionEngine:
         results: List[Optional[JobResult]] = [None] * len(jobs)
 
         previous_store = registry.set_trace_store(trace_store)
-        claims: Optional[Claims] = None
-        held: set = set()
-        if policy.coordinate and result_cache is not None:
-            try:
-                claims = Claims(result_cache.root)
-            except OSError:
-                claims = None  # unusable claims dir: claim-free operation
         try:
             pending = self._resolve_cached(
                 jobs, keys, records, results, result_cache, progress,
                 observer,
             )
-            waiting: List[int] = []
-            if claims is not None:
-                pending, waiting = self._partition_claims(
-                    jobs, keys, pending, claims, held
-                )
             pending = self._attempt_rounds(
                 jobs, keys, records, results, pending, result_cache,
-                claims, held, progress, observer,
+                progress, observer,
             )
-            if waiting:
-                takeover = self._await_foreign(
-                    jobs, keys, records, results, waiting, result_cache,
-                    claims, held, progress, observer,
-                )
-                pending += self._attempt_rounds(
-                    jobs, keys, records, results, takeover, result_cache,
-                    claims, held, progress, observer,
-                )
         finally:
-            if claims is not None:
-                for key in held:
-                    claims.release(key)
             registry.set_trace_store(previous_store)
             progress.finish()
             manifest.finished = time.time()
@@ -369,31 +329,6 @@ class ExecutionEngine:
                     error=records[index].error or "job failed",
                 )
         return [result for result in results if result is not None]
-
-    async def run_async(
-        self,
-        jobs: Sequence[Any],
-        label: str = "",
-        observer: Optional[Observer] = None,
-        strict: bool = True,
-    ) -> List[JobResult]:
-        """:meth:`run` on a worker thread, awaitable from asyncio code.
-
-        The engine's blocking machinery (process pools, retries, cache
-        I/O) runs off the event loop; *observer* is invoked on the
-        worker thread, so asyncio callers must trampoline events back
-        with ``loop.call_soon_threadsafe``.
-        """
-        import asyncio
-        import functools
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None,
-            functools.partial(
-                self.run, jobs, label=label, observer=observer, strict=strict
-            ),
-        )
 
     # ------------------------------------------------------------------
     # internals
@@ -454,14 +389,11 @@ class ExecutionEngine:
 
     def _attempt_rounds(
         self, jobs, keys, records, results, pending, result_cache,
-        claims, held, progress, observer,
+        progress, observer,
     ) -> List[int]:
         """Run the retry/backoff attempt loop over *pending* indexes.
 
         Returns the indexes that still failed after ``max_attempts``.
-        A held claim is released as soon as its result lands in the
-        cache, so foreign waiters unblock without waiting for the
-        whole batch.
         """
         policy = self.policy
         attempt = 1
@@ -489,9 +421,6 @@ class ExecutionEngine:
                             keys[index], outcome["payload"],
                             meta=record.params,
                         )
-                        if claims is not None and keys[index] in held:
-                            claims.release(keys[index])
-                            held.discard(keys[index])
                     _notify(observer, event="done", index=index,
                             key=keys[index], attempt=attempt,
                             wall=outcome["wall"])
@@ -511,98 +440,6 @@ class ExecutionEngine:
                 time.sleep(policy.backoff * (2 ** (attempt - 1)))
             attempt += 1
         return pending
-
-    def _partition_claims(
-        self, jobs, keys, pending, claims: Claims, held,
-    ):
-        """Split cache misses into claim-owned and foreign-claimed.
-
-        Owned indexes (claim acquired here, plus uncacheable jobs and
-        duplicates of an owned key) are computed by this run; the rest
-        are under a live foreign claim and handed to
-        :meth:`_await_foreign`.  Acquired keys land in *held* so the
-        caller can release them whatever happens.
-        """
-        owned: List[int] = []
-        waiting: List[int] = []
-        for index in pending:
-            if jobs[index].key_payload() is None:
-                owned.append(index)
-                continue
-            key = keys[index]
-            if key in held or claims.acquire(key):
-                held.add(key)
-                owned.append(index)
-            else:
-                waiting.append(index)
-        return owned, waiting
-
-    def _await_foreign(
-        self, jobs, keys, records, results, waiting, result_cache,
-        claims: Claims, held, progress, observer,
-    ) -> List[int]:
-        """Wait for foreign-claimed keys; return indexes to compute here.
-
-        Each waiting index resolves the moment its result entry
-        appears (recorded as a cache hit — another process did the
-        work).  If the foreign claim goes stale or is released without
-        a result (holder failed or died), this run takes the claim
-        over and the index is returned for a local compute round.  A
-        deadline bounds the wait so a wedged-but-alive holder cannot
-        stall the batch beyond the claim TTL.
-        """
-        policy = self.policy
-        budget = CLAIM_TTL_SECONDS
-        if policy.timeout:
-            budget = min(budget, policy.timeout * policy.max_attempts + 5.0)
-        deadline = time.monotonic() + budget
-        takeover: List[int] = []
-        remaining = list(waiting)
-        interval = 0.05
-        while remaining:
-            still: List[int] = []
-            for index in remaining:
-                key = keys[index]
-                if key in held:
-                    # A duplicate of this key was already taken over.
-                    takeover.append(index)
-                    continue
-                payload = result_cache.get(key)
-                if payload is not None:
-                    try:
-                        value = jobs[index].decode_result(payload)
-                    except Exception:
-                        # Unreadable foreign entry: recompute locally.
-                        if claims.acquire(key):
-                            held.add(key)
-                        takeover.append(index)
-                        continue
-                    records[index].status = "cached"
-                    records[index].cached = True
-                    results[index] = JobResult(
-                        job=jobs[index], value=value, cached=True,
-                        attempts=0, wall_time=0.0, worker=0,
-                    )
-                    progress.update(done=1, cached=1)
-                    _notify(observer, event="cached", index=index, key=key)
-                    continue
-                if not claims.is_active(key):
-                    # Holder released without a result, or went stale.
-                    if claims.acquire(key):
-                        held.add(key)
-                        takeover.append(index)
-                        continue
-                    # Someone else re-claimed it first: keep waiting.
-                still.append(index)
-            remaining = still
-            if not remaining:
-                break
-            if time.monotonic() > deadline:
-                takeover.extend(remaining)
-                break
-            time.sleep(interval)
-            interval = min(interval * 2, 0.5)
-        return takeover
 
     def _run_batch(self, jobs, pending: List[int], progress):
         """Yield ``(index, outcome)`` for one attempt over *pending*."""

@@ -12,7 +12,7 @@ answers requests over HTTP.  This package provides exactly that:
 - :mod:`repro.serve.scheduler` — single-flight coalescing on the
   engine's content-addressed job key, batching into engine runs,
   bounded-queue backpressure, graceful drain with a resubmit
-  manifest, and key-sharded multi-worker dispatch;
+  manifest, and key-sharded dispatch over ``--jobs N`` workers;
 - :mod:`repro.serve.pool` — persistent engine worker processes (one
   per shard) with crash respawn and batch retry;
 - :mod:`repro.serve.app` — the stdlib asyncio HTTP surface
@@ -45,7 +45,6 @@ from repro.serve.client import (
 from repro.serve.metrics import (
     LATENCY_BUCKET_BOUNDS,
     LatencyHistogram,
-    LatencyReservoir,
     ServiceMetrics,
 )
 from repro.serve.pool import PoolError, ShardWorker
@@ -66,7 +65,6 @@ __all__ = [
     "JobEntry",
     "LATENCY_BUCKET_BOUNDS",
     "LatencyHistogram",
-    "LatencyReservoir",
     "PoolError",
     "ProtocolError",
     "RetryPolicy",

@@ -363,13 +363,12 @@ def build_app(
     queue_size: int = 64,
     batch_max: int = 8,
     drain_manifest_dir: Optional[str] = None,
-    serve_workers: int = 1,
 ) -> ServeApp:
     """Assemble metrics + scheduler + app with one policy.
 
-    *serve_workers* > 1 shards the scheduler over that many persistent
-    engine worker processes (see ``docs/serving.md``); 1 keeps the
-    classic single-process inline engine.
+    ``policy.workers`` > 1 shards the scheduler over that many
+    persistent engine worker processes (see ``docs/serving.md``); 1
+    keeps the single-process inline engine.
     """
     policy = policy or ExecPolicy()
     metrics = ServiceMetrics()
@@ -378,7 +377,6 @@ def build_app(
         queue_size=queue_size,
         batch_max=batch_max,
         metrics=metrics,
-        shards=max(1, serve_workers),
     )
     cache_root = policy.resolved_cache_dir() if policy.use_cache else None
     if drain_manifest_dir is None and cache_root:

@@ -1,4 +1,4 @@
-"""Persistent engine worker processes for multi-worker serving.
+"""Persistent engine worker processes for ``repro serve --jobs N``.
 
 One :class:`ShardWorker` owns one long-lived child process running
 :func:`_worker_main`: a loop that receives job batches over a pipe,
@@ -9,32 +9,27 @@ pipe protocol never interleaves batches.
 
 Design points:
 
-- **byte-identity** — the child encodes results with the same
-  ``job.encode_result`` the inline scheduler path uses and the parent
-  stores the encoded payload as-is, so a sharded server returns
+- **byte-identity** — the child encodes results with
+  :func:`encode_outcomes`, as the inline scheduler path does, and the
+  parent stores the encoded payload as-is, so a sharded server returns
   byte-identical results to a single-worker one;
 - **crash recovery** — a worker that dies mid-batch (OOM kill, fault
   test) is respawned and the batch retried once; jobs are
-  deterministic and cache writes atomic, so a re-run is safe.  The
-  dead worker's cache claims go stale (its pid is gone) and are
-  broken by the retry;
+  deterministic and cache writes atomic, so a re-run is safe;
+- **timeouts** — the child runs its engine on its main thread, where
+  the engine can arm its SIGALRM per-job timeout;
 - **shutdown** — workers ignore SIGINT/SIGTERM; the parent
   coordinates drain and sends an explicit stop message (escalating to
   ``terminate()`` only if the child does not exit).
-
-The child engine runs with ``coordinate=True`` cache claims (set by
-the scheduler's policy), so two shards handed the same key in
-different batches never simulate it twice: the second shard waits for
-the first shard's result entry.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import signal
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.exec.engine import ExecPolicy, ExecutionEngine
+from repro.exec.engine import ExecPolicy, ExecutionEngine, JobResult
 
 #: Seconds a stopping worker gets to exit before ``terminate()``.
 STOP_GRACE_SECONDS = 5.0
@@ -42,6 +37,32 @@ STOP_GRACE_SECONDS = 5.0
 
 class PoolError(RuntimeError):
     """A worker could not complete a batch even after a respawn."""
+
+
+def encode_outcomes(
+    jobs: Sequence[Any], results: Sequence[JobResult]
+) -> List[Dict[str, Any]]:
+    """One served batch's per-job outcome dicts, payloads encoded.
+
+    ``{ok, payload, cached, attempts}`` for a result, ``{ok, error,
+    attempts}`` for a failure; the scheduler reads nothing else.
+    """
+    outcomes: List[Dict[str, Any]] = []
+    for job, result in zip(jobs, results):
+        if result.ok:
+            outcomes.append({
+                "ok": True,
+                "payload": job.encode_result(result.value),
+                "cached": result.cached,
+                "attempts": result.attempts,
+            })
+        else:
+            outcomes.append({
+                "ok": False,
+                "error": result.error,
+                "attempts": result.attempts,
+            })
+    return outcomes
 
 
 def _worker_main(conn, policy: ExecPolicy, shard: int) -> None:
@@ -92,25 +113,8 @@ def _worker_main(conn, policy: ExecPolicy, shard: int) -> None:
         results = engine.run(
             jobs, label=label, observer=observer, strict=False
         )
-        outcomes: List[Dict[str, Any]] = []
-        for job, result in zip(jobs, results):
-            if result.ok:
-                outcomes.append({
-                    "ok": True,
-                    "payload": job.encode_result(result.value),
-                    "cached": result.cached,
-                    "attempts": result.attempts,
-                    "wall": result.wall_time,
-                })
-            else:
-                outcomes.append({
-                    "ok": False,
-                    "error": result.error,
-                    "attempts": result.attempts,
-                    "wall": result.wall_time,
-                })
         try:
-            conn.send(("done", outcomes))
+            conn.send(("done", encode_outcomes(jobs, results)))
         except (BrokenPipeError, OSError):
             return
 

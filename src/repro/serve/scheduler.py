@@ -20,24 +20,24 @@ simulation service needs:
   rejects with :class:`Backpressure` (HTTP 429), and :meth:`drain`
   stops intake, lets in-flight batches finish, cancels queued
   entries and persists their requests to a resubmit manifest;
-- **sharding** — with ``shards > 1`` the scheduler runs N independent
-  queue/run-loop pairs, each backed by a persistent
-  :class:`~repro.serve.pool.ShardWorker` engine process.  Job keys
-  are consistent-hashed to a shard (:func:`shard_for_key`, rendezvous
-  hashing), so identical keys always land on the same shard and
-  single-flight coalescing keeps working per-shard; cross-shard (and
-  cross-process) duplicate suppression is the cache-claim layer's
-  job (``ExecPolicy.coordinate``).
+- **sharding** — ``policy.workers`` (``repro serve --jobs N``) sets
+  the number of independent queue/run-loop pairs; with more than one,
+  each is backed by a persistent :class:`~repro.serve.pool.ShardWorker`
+  engine process.  Job keys are consistent-hashed to a shard
+  (:func:`shard_for_key`, rendezvous hashing), so identical keys
+  always land on the same shard, and the coalescing map spans every
+  shard, so no two shards ever compute one key.
 
-Everything here runs on the event loop; engines run on worker threads
-(inline via :meth:`ExecutionEngine.run_async`, pooled via
-:meth:`ShardWorker.run_batch` in an executor) and observer events are
-trampolined back with ``call_soon_threadsafe``.
+Everything here runs on the event loop; engines run on executor
+threads (inline :meth:`ExecutionEngine.run`, or the blocking
+:meth:`ShardWorker.run_batch`) and observer events are trampolined
+back with ``call_soon_threadsafe``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import json
 import math
@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.errors import ReproError
 from repro.exec.engine import ExecPolicy, ExecutionEngine, job_key
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.pool import PoolError, ShardWorker
+from repro.serve.pool import PoolError, ShardWorker, encode_outcomes
 from repro.serve.protocol import job_request
 
 #: Queue sentinel that tells a run loop to exit after its batch.
@@ -159,7 +159,6 @@ class Scheduler:
         batch_max: int = 8,
         metrics: Optional[ServiceMetrics] = None,
         history_limit: int = 512,
-        shards: int = 1,
         use_pool: Optional[bool] = None,
     ) -> None:
         self.policy = policy or ExecPolicy()
@@ -167,20 +166,17 @@ class Scheduler:
         self.batch_max = max(1, batch_max)
         self.metrics = metrics or ServiceMetrics()
         self.history_limit = history_limit
-        self.shards = max(1, shards)
-        #: pool mode runs each shard on a persistent worker process;
-        #: inline mode (the shards=1 default) runs engine batches on
-        #: this process the way single-worker serving always has.
-        self.use_pool = (self.shards > 1) if use_pool is None else use_pool
-        #: the policy shard engines run: pooled shards get their
-        #: parallelism from being processes, so each worker runs its
-        #: engine inline (no nested pool) with cache-claim
-        #: coordination against its sibling shards.
-        self.shard_policy = (
-            replace(self.policy, workers=1,
-                    coordinate=self.policy.use_cache)
-            if self.use_pool else self.policy
-        )
+        #: one shard per engine worker: parallelism comes from shards,
+        #: so every shard engine runs its batch serially.
+        self.shards = max(1, self.policy.workers)
+        self.shard_policy = replace(self.policy, workers=1)
+        #: pool mode runs each shard on a persistent worker process.
+        #: A lone shard stays in this process (no extra process) unless
+        #: a job timeout is set: the engine arms it with SIGALRM, which
+        #: works on a process's main thread, never on an executor one.
+        if use_pool is None:
+            use_pool = self.shards > 1 or bool(self.policy.timeout)
+        self.use_pool = use_pool
         self.draining = False
         self._entries: Dict[str, JobEntry] = {}
         self._queues: List[asyncio.Queue] = [
@@ -361,13 +357,8 @@ class Scheduler:
     def retry_after_hint(self) -> int:
         """A 429 ``Retry-After`` estimate from observed job latency."""
         mean = self.metrics.job_latency.mean() or 1.0
-        # Effective parallelism: pooled shards are one process each
-        # (their engines run inline); otherwise the engine's own pool.
-        workers = self.shards if self.use_pool else max(
-            1, self.policy.workers
-        )
         backlog = self.queue_depth + self.inflight
-        return max(1, min(60, math.ceil(mean * backlog / workers)))
+        return max(1, min(60, math.ceil(mean * backlog / self.shards)))
 
     # ------------------------------------------------------------------
     # event streaming
@@ -497,30 +488,17 @@ class Scheduler:
         def observer(event: Dict[str, Any]) -> None:
             loop.call_soon_threadsafe(self._on_engine_event, batch, event)
 
-        engine = ExecutionEngine(self.policy)
+        jobs = [entry.job for entry in batch]
+        engine = ExecutionEngine(self.shard_policy)
         async with self._inline_lock:
-            results = await engine.run_async(
-                [entry.job for entry in batch],
-                label="serve",
-                observer=observer,
-                strict=False,
+            results = await loop.run_in_executor(
+                None,
+                functools.partial(
+                    engine.run, jobs, label="serve", observer=observer,
+                    strict=False,
+                ),
             )
-        outcomes: List[Dict[str, Any]] = []
-        for entry, result in zip(batch, results):
-            if result.ok:
-                outcomes.append({
-                    "ok": True,
-                    "payload": entry.job.encode_result(result.value),
-                    "cached": result.cached,
-                    "attempts": result.attempts,
-                })
-            else:
-                outcomes.append({
-                    "ok": False,
-                    "error": result.error,
-                    "attempts": result.attempts,
-                })
-        return outcomes
+        return encode_outcomes(jobs, results)
 
     async def _pool_batch(
         self, shard: int, batch: List[JobEntry]

@@ -1,17 +1,13 @@
-"""Tests for cache pruning: age cutoff, byte budgets, tmp cleanup,
-and claim protection under concurrent writers."""
+"""Tests for cache pruning: age cutoff, byte budgets and tmp cleanup."""
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 
 from repro.cli import main
 from repro.exec.cache import (
-    CLAIM_TTL_SECONDS,
-    Claims,
     ResultCache,
     TraceStore,
     _TMP_GRACE_SECONDS,
@@ -141,118 +137,6 @@ def test_trace_store_prune_method(tmp_path):
     report = store.prune(max_age=HOUR)
     assert report.removed_entries == 1
     assert report.kept_entries == 1
-
-
-# ---------------------------------------------------------------------------
-# Claim protection: prune must never race a concurrent worker
-# ---------------------------------------------------------------------------
-
-
-def test_prune_spares_actively_claimed_entries(tmp_path):
-    """An entry under a live claim survives every prune limit — age
-    cutoff, byte budget, and the global eviction path alike."""
-    root = str(tmp_path)
-    claimed = _make_file(root, "results", "work.json", size=100,
-                         age=10 * HOUR)
-    victim = _make_file(root, "results", "old.json", size=100,
-                        age=10 * HOUR)
-    claims = Claims(root)
-    assert claims.acquire("work")
-
-    reports = prune_cache(root, max_age=HOUR)
-    assert os.path.exists(claimed)       # claim shields it from the cutoff
-    assert not os.path.exists(victim)
-    assert reports["results"].kept_entries == 1
-
-    # Byte budget of zero: everything unprotected goes, the claim holds.
-    prune_cache(root, max_bytes=0)
-    assert os.path.exists(claimed)
-
-    claims.release("work")
-    prune_cache(root, max_age=HOUR)
-    assert not os.path.exists(claimed)   # protection ends with the claim
-
-
-def test_prune_spares_claimed_in_progress_tmp_files(tmp_path):
-    """A mid-write worker's temp file is protected by its claim even
-    past the grace period — the stale-tmp rule yields to the claim."""
-    root = str(tmp_path)
-    tmp_file = _make_file(root, "results", "work.json.tmp.123",
-                          age=_TMP_GRACE_SECONDS + 60)
-    orphan = _make_file(root, "results", "gone.json.tmp.9",
-                        age=_TMP_GRACE_SECONDS + 60)
-    claims = Claims(root)
-    assert claims.acquire("work")
-
-    prune_cache(root, max_age=365 * 24 * HOUR)
-    assert os.path.exists(tmp_file)      # claimed writer still owns it
-    assert not os.path.exists(orphan)    # unclaimed debris still goes
-
-
-def test_stale_claims_are_swept_and_reported(tmp_path):
-    root = str(tmp_path)
-    claims = Claims(root)
-    claims.acquire("live")
-    claims.acquire("dead")
-    stamp = time.time() - (CLAIM_TTL_SECONDS + 60)
-    os.utime(claims.path("dead"), (stamp, stamp))
-
-    reports = prune_cache(root, max_age=HOUR)
-    assert reports["claims"].removed_entries == 1
-    assert not os.path.exists(claims.path("dead"))
-    assert os.path.exists(claims.path("live"))
-
-
-def test_prune_with_live_writer_never_deletes_its_entry(tmp_path):
-    """Regression: aggressive pruning racing a worker that claims,
-    writes and rewrites its entry must never observe a deleted entry
-    after the claim is taken."""
-    root = str(tmp_path)
-    cache = ResultCache(root)
-    claims = Claims(root)
-    key = "live-writer"
-    stop = threading.Event()
-    failures = []
-
-    def writer():
-        assert claims.acquire(key)
-        try:
-            cache.put(key, {"round": 0})
-            while not stop.is_set():
-                cache.put(key, {"round": 1})
-                if cache.get(key) is None:
-                    failures.append("entry vanished under live claim")
-                    return
-        finally:
-            claims.release(key)
-
-    thread = threading.Thread(target=writer)
-    thread.start()
-    try:
-        deadline = time.monotonic() + 1.0
-        while time.monotonic() < deadline:
-            # The harshest settings: everything is too old and over
-            # budget, so only claim protection can keep the entry.
-            prune_cache(root, max_age=0.0, max_bytes=0)
-    finally:
-        stop.set()
-        thread.join()
-    assert not failures
-    assert cache.get(key) == {"round": 1}
-    prune_cache(root, max_age=0.0)       # claim released: now it goes
-    assert cache.get(key) is None
-
-
-def test_result_cache_prune_respects_claims(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cache.put("held", {"v": 1})
-    cache.put("free", {"v": 2})
-    claims = Claims(str(tmp_path))
-    assert claims.acquire("held")
-    report = cache.prune(max_bytes=0)
-    assert report.kept_entries == 1
-    assert cache.get("held") == {"v": 1}
-    assert cache.get("free") is None
 
 
 def test_empty_root_prunes_to_nothing(tmp_path):

@@ -1,10 +1,11 @@
-"""Tests for multi-worker sharded serving (the PR's acceptance bars).
+"""Tests for sharded serving (``repro serve --jobs N``).
 
-Covers: stable consistent hashing of keys to shards, single-flight
-coalescing within a shard, a drain that writes ONE resubmit manifest
-covering queued jobs on every shard, byte-identity of sharded versus
-single-worker results (cold and warm), and the kill-one-worker fault
-path (respawn + retry, no poisoned cache entries, no lost jobs).
+Covers: stable consistent hashing of keys to shards, one pooled shard
+per engine worker, single-flight coalescing within a shard, a drain
+that writes ONE resubmit manifest covering queued jobs on every shard,
+byte-identity of ``--jobs 2`` versus ``--jobs 1`` results (cold and
+warm), and the kill-one-worker fault path (respawn + retry, no
+poisoned cache entries, no lost jobs).
 """
 
 from __future__ import annotations
@@ -70,6 +71,34 @@ class TestShardForKey:
 
 
 # ---------------------------------------------------------------------------
+# shards come from policy.workers
+# ---------------------------------------------------------------------------
+
+
+def test_jobs_n_runs_n_pooled_shards_with_serial_engines(tmp_path):
+    """``--jobs 2`` means two pooled shards, each engine serial."""
+    from repro.serve.app import build_app
+
+    app = build_app(_policy(tmp_path, workers=2), port=0)
+    scheduler = app.scheduler
+
+    async def scenario():
+        scheduler.start()
+        try:
+            assert len(scheduler._workers) == 2
+            for worker in scheduler._workers:
+                assert worker is not None and worker.alive
+                assert worker.policy.workers == 1
+        finally:
+            await scheduler.drain()
+
+    assert scheduler.shards == 2
+    assert scheduler.use_pool
+    assert scheduler.shard_policy.workers == 1
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
 # per-shard coalescing and the multi-shard drain manifest
 # ---------------------------------------------------------------------------
 
@@ -80,8 +109,8 @@ def test_identical_keys_coalesce_within_a_shard():
 
     async def scenario():
         scheduler = Scheduler(
-            policy=ExecPolicy(max_attempts=1, backoff=0.001),
-            shards=3, use_pool=False,
+            policy=ExecPolicy(workers=3, max_attempts=1, backoff=0.001),
+            use_pool=False,
         )
         scheduler.start()
         first, disposition = scheduler.submit(SlowEchoJob(11, seconds=0.08))
@@ -108,8 +137,8 @@ def test_drain_writes_one_manifest_covering_every_shard(tmp_path):
 
     async def scenario():
         scheduler = Scheduler(
-            policy=ExecPolicy(max_attempts=1),
-            shards=4, use_pool=False, queue_size=64,
+            policy=ExecPolicy(workers=4, max_attempts=1),
+            use_pool=False, queue_size=64,
         )
         # Never started: every submission stays queued on its shard.
         requests = [
@@ -144,9 +173,9 @@ def test_drain_writes_one_manifest_covering_every_shard(tmp_path):
 
 
 def test_sharded_results_byte_identical_to_single_worker(tmp_path):
-    """The same request set served by a 2-shard pool and by the classic
-    single-worker path must produce byte-identical result payloads,
-    cold and warm."""
+    """The same request set served with ``--jobs 2`` (two pooled
+    shards) and ``--jobs 1`` (the in-process engine) must produce
+    byte-identical result payloads, cold and warm."""
     from repro.serve.app import BackgroundServer, build_app
     from repro.serve.client import ServeClient
 
@@ -157,13 +186,12 @@ def test_sharded_results_byte_identical_to_single_worker(tmp_path):
         _request(frontend="tc", length=3_000),
     ]
 
-    def serve_all(serve_workers: int, cache_dir: str):
+    def serve_all(jobs: int, cache_dir: str):
         policy = ExecPolicy(
-            workers=1, use_cache=True, cache_dir=cache_dir, progress=False
+            workers=jobs, use_cache=True, cache_dir=cache_dir,
+            progress=False,
         )
-        app = build_app(
-            policy=policy, port=0, serve_workers=serve_workers
-        )
+        app = build_app(policy=policy, port=0)
         server = BackgroundServer(app)
         base_url = server.start()
         try:
@@ -195,7 +223,7 @@ def test_sharded_results_byte_identical_to_single_worker(tmp_path):
 
 class TestWorkerCrash:
     def test_idle_kill_respawns_and_serves(self, tmp_path):
-        policy = _policy(tmp_path, coordinate=True)
+        policy = _policy(tmp_path)
         job = parse_job(_request(length=2_000))
         worker = ShardWorker(0, policy)
         try:
@@ -216,7 +244,7 @@ class TestWorkerCrash:
         retried on a fresh process, every accepted job must still get
         a result, and the cache must hold only valid entries (a fresh
         engine reads them back byte-identically)."""
-        policy = _policy(tmp_path, coordinate=True)
+        policy = _policy(tmp_path)
         jobs = [
             parse_job(_request(length=150_000)),
             parse_job(_request(length=2_000)),
@@ -258,10 +286,7 @@ class TestWorkerCrash:
         accepted job still reaches a terminal done state."""
 
         async def scenario():
-            scheduler = Scheduler(
-                policy=_policy(tmp_path),
-                shards=2, use_pool=True,
-            )
+            scheduler = Scheduler(policy=_policy(tmp_path, workers=2))
             scheduler.start()
             try:
                 requests = [

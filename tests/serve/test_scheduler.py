@@ -1,8 +1,9 @@
 """Tests for the serve scheduler: coalescing, batching, backpressure, drain.
 
-Everything runs through ``asyncio.run`` on small duck-typed jobs
-(serial engine, no process pool) so the scheduling semantics are
-isolated from simulation cost.
+Everything runs through ``asyncio.run`` on small duck-typed jobs so
+the scheduling semantics are isolated from simulation cost.  Most
+tests use the in-process serial engine; the timeout test runs a shard
+worker process.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.serve.scheduler import Backpressure, Draining, Scheduler
 
 
 # ---------------------------------------------------------------------------
-# Jobs (module-level for picklability; runs here are serial anyway)
+# Jobs (module-level, so a shard worker process can unpickle them)
 # ---------------------------------------------------------------------------
 
 
@@ -214,6 +215,33 @@ def test_backlog_queued_behind_a_running_batch_shares_batches():
         assert sizes == [1, 2, 2, 1]
         assert scheduler.metrics.engine_runs == 4
         await scheduler.drain()
+
+    asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# Per-job timeout
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_job_timeout_fails_an_overrunning_job(workers):
+    """``--job-timeout`` holds for one shard and for several: a job
+    that overruns it fails with JobTimeout instead of running on."""
+
+    async def scenario():
+        scheduler = make_scheduler(
+            policy=ExecPolicy(workers=workers, timeout=0.2, max_attempts=1)
+        )
+        scheduler.start()
+        try:
+            entry, _ = scheduler.submit(SlowEchoJob(40, seconds=1.5))
+            await asyncio.wait_for(entry.done_event.wait(), timeout=10.0)
+            assert entry.status == "failed"
+            assert "JobTimeout" in entry.error
+            assert entry._mono_finished - entry._mono_started < 1.0
+        finally:
+            await scheduler.drain()
 
     asyncio.run(scenario())
 
