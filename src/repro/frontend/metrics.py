@@ -177,8 +177,10 @@ class FrontendStats:
         }
 
     def verify_conservation(self, expected_uops: int) -> None:
-        """Assert every trace uop was supplied exactly once.
+        """Assert the run-end invariants of the counters.
 
+        Every trace uop was supplied exactly once, no more lookups hit
+        than were made, and build plus delivery cycles fit in the total.
         Frontends call this at the end of ``run``; a failure is always
         a simulator bug, never a workload property.
         """
@@ -188,6 +190,17 @@ class FrontendStats:
             raise SimulationError(
                 f"{self.frontend}: supplied {self.total_uops} uops, "
                 f"trace has {expected_uops} (accounting bug)"
+            )
+        if self.structure_hits > self.structure_lookups:
+            raise SimulationError(
+                f"{self.frontend}: {self.structure_hits} structure hits > "
+                f"{self.structure_lookups} lookups (accounting bug)"
+            )
+        if self.build_cycles + self.delivery_cycles > self.cycles:
+            raise SimulationError(
+                f"{self.frontend}: build {self.build_cycles} + delivery "
+                f"{self.delivery_cycles} cycles > {self.cycles} cycles "
+                "(accounting bug)"
             )
 
     def summary(self) -> str:

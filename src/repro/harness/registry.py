@@ -291,6 +291,17 @@ def trace_cache_stats() -> TraceCacheStats:
     )
 
 
+def release_trace(spec: TraceSpec) -> Optional[Trace]:
+    """Take *spec*'s trace out of the in-process cache.
+
+    Returns the trace when it was cached, else ``None``; the hit/miss
+    counters are left alone.  For callers that know nothing will read
+    the trace again: a fuzz evaluation releases its candidate's trace
+    so memory stays flat in the search budget.
+    """
+    return _TRACE_CACHE.pop(spec, None)
+
+
 def clear_trace_cache() -> TraceCacheStats:
     """Drop cached traces (tests use this to bound memory).
 

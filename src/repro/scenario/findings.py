@@ -24,11 +24,28 @@ from repro.exec.hashing import stable_hash
 from repro.exec.job import SimJob
 from repro.harness.registry import make_trace
 from repro.scenario.minimize import MinimizeResult
-from repro.scenario.search import Evaluation, FuzzConfig, evaluate_point
+from repro.scenario.search import (
+    Evaluation,
+    FuzzConfig,
+    TraceFacts,
+    evaluate_point,
+)
 from repro.scenario.space import ParameterSpace, Point
 
 #: Corpus file schema generation.
 CORPUS_SCHEMA = 1
+
+
+def _trace_facts(evaluation: Evaluation) -> TraceFacts:
+    """The evaluation's trace facts, materializing the trace if needed.
+
+    An inline evaluation recorded them before releasing its trace.
+    Under a worker pool, or when both results came from the result
+    cache, this process never held the trace, so it is built here.
+    """
+    if evaluation.trace_facts is not None:
+        return evaluation.trace_facts
+    return TraceFacts.of(make_trace(evaluation.spec))
 
 
 @dataclass
@@ -62,10 +79,10 @@ class Finding:
     ) -> "Finding":
         """Freeze an evaluation into a corpus record.
 
-        Materializes the trace (a cache hit when the evaluation just
-        ran in-process) to record its content hash and size.
+        Records the trace's content hash and size (see
+        :func:`_trace_facts`).
         """
-        trace = make_trace(evaluation.spec)
+        facts = _trace_facts(evaluation)
         recipe = {
             "kind": "fuzz-finding",
             "base": base,
@@ -85,9 +102,9 @@ class Finding:
             tc_hit_rate=evaluation.tc.uop_hit_rate,
             xbc_hit_rate=evaluation.xbc.uop_hit_rate,
             objective=evaluation.objective,
-            trace_hash=trace.content_hash(),
-            trace_uops=trace.total_uops,
-            trace_instructions=trace.dynamic_instructions,
+            trace_hash=facts.content_hash,
+            trace_uops=facts.uops,
+            trace_instructions=facts.instructions,
             tc_stats_hash=stable_hash(SimJob.encode_result(evaluation.tc)),
             xbc_stats_hash=stable_hash(SimJob.encode_result(evaluation.xbc)),
         )
@@ -209,15 +226,11 @@ def replay_finding(
         clamp=False,
     )
     report = ReplayReport(finding=finding, evaluation=evaluation)
-    trace = make_trace(evaluation.spec)
+    facts = _trace_facts(evaluation)
     checks = (
-        ("trace_hash", finding.trace_hash, trace.content_hash()),
-        ("trace_uops", finding.trace_uops, trace.total_uops),
-        (
-            "trace_instructions",
-            finding.trace_instructions,
-            trace.dynamic_instructions,
-        ),
+        ("trace_hash", finding.trace_hash, facts.content_hash),
+        ("trace_uops", finding.trace_uops, facts.uops),
+        ("trace_instructions", finding.trace_instructions, facts.instructions),
         (
             "tc_stats_hash",
             finding.tc_stats_hash,

@@ -18,7 +18,7 @@ simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.common.errors import ConfigError, ReproError
 from repro.common.rng import DeterministicRng
@@ -26,8 +26,9 @@ from repro.exec.engine import ExecPolicy, execute_jobs
 from repro.exec.job import SimJob
 from repro.frontend.config import FrontendConfig
 from repro.frontend.metrics import FrontendStats
-from repro.harness.registry import TraceSpec
+from repro.harness.registry import TraceSpec, release_trace
 from repro.scenario.space import ParameterSpace, Point
+from repro.trace.record import Trace
 
 #: Trace name prefix for fuzz candidates (their TraceSpec ``suite``).
 FUZZ_SUITE_PREFIX = "fuzz"
@@ -76,6 +77,22 @@ class FuzzConfig:
             raise ConfigError("mutation_scale must be > 0")
 
 
+class TraceFacts(NamedTuple):
+    """What a findings record stores about a candidate's trace."""
+
+    content_hash: str
+    uops: int
+    instructions: int
+
+    @classmethod
+    def of(cls, trace: Trace) -> "TraceFacts":
+        """Read the facts off a materialized trace."""
+        return cls(
+            trace.content_hash(), trace.total_uops,
+            trace.dynamic_instructions,
+        )
+
+
 @dataclass
 class Evaluation:
     """One candidate's measured outcome."""
@@ -86,6 +103,10 @@ class Evaluation:
     xbc: FrontendStats
     #: uop capacity budget both frontends were given.
     total_uops: int = 8192
+    #: the trace's facts, recorded when this process built or loaded
+    #: it; ``None`` when pool workers ran the jobs or both results
+    #: came from the result cache.
+    trace_facts: Optional[TraceFacts] = None
 
     @property
     def objective(self) -> float:
@@ -105,6 +126,10 @@ def evaluate_point(
 ) -> Evaluation:
     """Build, trace and simulate one candidate point.
 
+    The candidate's trace leaves the in-process cache when the jobs end
+    (its facts stay on the evaluation), so a search holds one trace at
+    a time however large its budget.
+
     Raises :class:`ConfigError` when the point cannot be realized as a
     valid profile, and :class:`ReproError` when a simulation job fails.
     """
@@ -123,7 +148,10 @@ def evaluate_point(
                total_uops=total_uops)
         for kind in ("tc", "xbc")
     ]
-    results = execute_jobs(jobs, policy, label="fuzz-eval")
+    try:
+        results = execute_jobs(jobs, policy, label="fuzz-eval")
+    finally:
+        trace = release_trace(spec)
     for result in results:
         if not result.ok:
             raise ReproError(
@@ -134,6 +162,7 @@ def evaluate_point(
         point=dict(point), spec=spec,
         tc=results[0].value, xbc=results[1].value,
         total_uops=total_uops,
+        trace_facts=None if trace is None else TraceFacts.of(trace),
     )
 
 

@@ -35,6 +35,9 @@ from repro.serve.protocol import parse_job
 #: Environment override for the default server address.
 SERVER_ENV = "REPRO_SERVER"
 
+#: Job statuses after which a job document no longer changes.
+TERMINAL_STATUSES = ("done", "failed", "cancelled")
+
 
 def default_server() -> str:
     """``$REPRO_SERVER`` or the local default address."""
@@ -296,13 +299,13 @@ class ServeClient:
         deadline = time.monotonic() + timeout
         try:
             for event in self.events(job_id, timeout=timeout):
-                if event.get("status") in ("done", "failed", "cancelled"):
+                if event.get("status") in TERMINAL_STATUSES:
                     break
         except ServeUnavailable:
             pass  # server may be draining; fall through to polls
         while True:
             document = self.job(job_id)
-            if document["status"] in ("done", "failed", "cancelled"):
+            if document["status"] in TERMINAL_STATUSES:
                 return document
             if time.monotonic() > deadline:
                 raise ServeError(

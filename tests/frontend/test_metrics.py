@@ -100,3 +100,25 @@ def test_verify_conservation():
     s.verify_conservation(100)  # exact: fine
     with pytest.raises(SimulationError):
         s.verify_conservation(99)
+
+
+def test_verify_conservation_rejects_more_hits_than_lookups():
+    from repro.common.errors import SimulationError
+
+    s = FrontendStats(uops_from_ic=40, uops_from_structure=60,
+                      structure_lookups=10, structure_hits=10)
+    s.verify_conservation(100)  # every lookup hit: fine
+    s.structure_hits = 11
+    with pytest.raises(SimulationError, match="11 structure hits > 10"):
+        s.verify_conservation(100)
+
+
+def test_verify_conservation_rejects_mode_cycles_beyond_total():
+    from repro.common.errors import SimulationError
+
+    s = FrontendStats(uops_from_ic=40, uops_from_structure=60,
+                      cycles=50, build_cycles=20, delivery_cycles=30)
+    s.verify_conservation(100)  # no penalty cycles: fine
+    s.delivery_cycles = 31
+    with pytest.raises(SimulationError, match="> 50 cycles"):
+        s.verify_conservation(100)

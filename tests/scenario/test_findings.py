@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.harness.registry as registry
 from repro.common.errors import ConfigError
 from repro.exec.engine import ExecPolicy
 from repro.scenario.findings import (
@@ -166,3 +167,49 @@ def test_replay_detects_tampering(pinned_evaluation):
     assert not report.ok
     names = {m.split(":")[0] for m in report.mismatches}
     assert names == {"trace_hash", "xbc_hit_rate"}
+
+
+def _small_inversion(policy=None):
+    space = ParameterSpace.default("server-web")
+    return evaluate_point(
+        space, space.point_from_base(static_uops=2_101),
+        program_seed=fuzz_program_seed(1),
+        total_uops=8192,
+        length_uops=10_000,
+        policy=policy,
+    )
+
+
+def test_freeze_and_replay_build_no_extra_programs(monkeypatch):
+    generated = []
+    real_generate = registry.generate_program
+
+    def counting_generate(*args, **kwargs):
+        generated.append(kwargs.get("name"))
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "generate_program", counting_generate)
+    registry.clear_trace_cache()
+    evaluation = _small_inversion()
+    assert len(generated) == 1
+    finding = Finding.from_evaluation(evaluation, "server-web")
+    assert len(generated) == 1  # freezing reads the recorded facts
+    registry.clear_trace_cache()  # as in a fresh `repro fuzz replay`
+    report = replay_finding(finding)
+    assert report.ok, report.mismatches
+    assert len(generated) == 2  # the replay built its trace once
+    registry.clear_trace_cache()
+
+
+def test_fully_cached_evaluation_freezes_the_same_finding(tmp_path):
+    # Both results come from the result cache, so this process never
+    # builds the trace (as under a worker pool) and freezing does.
+    policy = ExecPolicy(use_cache=True, cache_dir=str(tmp_path))
+    registry.clear_trace_cache()
+    built = _small_inversion(policy)
+    cached = _small_inversion(policy)
+    assert built.trace_facts is not None
+    assert cached.trace_facts is None
+    assert Finding.from_evaluation(cached, "server-web") == \
+        Finding.from_evaluation(built, "server-web")
+    registry.clear_trace_cache()

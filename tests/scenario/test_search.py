@@ -5,7 +5,10 @@ from types import SimpleNamespace
 import pytest
 
 import repro.scenario.search as search_mod
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ReproError
+from repro.exec.engine import ExecPolicy
+from repro.harness.registry import clear_trace_cache, trace_cache_stats
+from repro.scenario.minimize import minimize_evaluation
 from repro.scenario.search import (
     FuzzConfig,
     fuzz_program_seed,
@@ -163,3 +166,42 @@ def test_known_inversion_point_reproduces():
     )
     assert evaluation.objective > 0.02
     assert evaluation.tc.uop_hit_rate > evaluation.xbc.uop_hit_rate
+
+
+def test_search_and_minimize_release_every_candidate_trace():
+    # Nothing reads a candidate's trace after its evaluation: findings
+    # use the facts recorded on the evaluation.
+    clear_trace_cache()
+    space = ParameterSpace.default("server-web")
+    config = FuzzConfig(budget=3, seed=1, length_uops=10_000)
+    result = run_search(space, config)
+    best = result.best
+    minimized = minimize_evaluation(
+        space, best, config, margin=best.objective - 1.0
+    )
+    assert minimized.evals_used > 0
+    assert trace_cache_stats().entries == 0
+    evaluations = [result.base] + result.evaluations + [minimized.evaluation]
+    assert all(ev.trace_facts is not None for ev in evaluations)
+    assert result.base.trace_facts.uops == 10_000
+    clear_trace_cache()
+
+
+def test_failed_evaluation_still_releases_its_trace(monkeypatch):
+    from repro.xbc.frontend import XbcFrontend
+
+    def broken_run(self, trace):
+        raise RuntimeError("injected XBC failure")
+
+    monkeypatch.setattr(XbcFrontend, "run", broken_run)
+    clear_trace_cache()
+    space = ParameterSpace.default("server-web")
+    with pytest.raises(ReproError, match="injected XBC failure"):
+        search_mod.evaluate_point(
+            space, space.point_from_base(),
+            program_seed=fuzz_program_seed(1),
+            length_uops=10_000,
+            policy=ExecPolicy(max_attempts=1),
+        )
+    assert trace_cache_stats().entries == 0
+    clear_trace_cache()

@@ -152,6 +152,31 @@ def test_event_stream_replays_the_full_lifecycle(server):
     assert events[-1]["status"] == "done"
 
 
+def test_submit_follow_opens_the_event_stream_once(
+    server, monkeypatch, capsys
+):
+    from repro.cli import main
+
+    opened = []
+    real_events = ServeClient.events
+
+    def counting_events(self, job_id, timeout=300.0):
+        opened.append(job_id)
+        return real_events(self, job_id, timeout=timeout)
+
+    monkeypatch.setattr(ServeClient, "events", counting_events)
+    argv = [
+        "submit", "xbc", "--suite", "specint", "--index", "0",
+        "--length", "15000", "--size", "2048",
+        "--server", server.base_url, "--follow",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert opened == [request_key(REQUEST)]
+    assert '"event": "done"' in out
+    assert "via server" in out and " done (new)" in out
+
+
 def test_error_mapping(server):
     with pytest.raises(ServeError) as info:
         server.submit({"frontend": "warp-drive"})
