@@ -795,11 +795,7 @@ def _submit_request(args: argparse.Namespace) -> dict:
 def _dispatch_submit(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.serve.client import (
-        TERMINAL_STATUSES,
-        ServeClient,
-        submit_or_inline,
-    )
+    from repro.serve.client import ServeClient, submit_or_inline
 
     request = _submit_request(args)
     if args.follow and not args.no_wait:
@@ -811,11 +807,9 @@ def _dispatch_submit(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             for event in client.events(job_id, timeout=args.timeout):
                 print(_json.dumps(event, sort_keys=True))
-            # The stream ends with the job, so one GET fetches the final
-            # document; wait() only if the stream ended early.
-            document = client.job(job_id)
-            if document["status"] not in TERMINAL_STATUSES:
-                document = client.wait(job_id, timeout=args.timeout)
+            # The stream ends with the job, so wait()'s first long-poll
+            # answers at once with the final document.
+            document = client.wait(job_id, timeout=args.timeout)
             document["disposition"] = acknowledgement.get("disposition")
             via = "server"
         else:

@@ -16,7 +16,8 @@ answers requests over HTTP.  This package provides exactly that:
 - :mod:`repro.serve.pool` — persistent engine worker processes (one
   per shard) with crash respawn and batch retry;
 - :mod:`repro.serve.app` — the stdlib asyncio HTTP surface
-  (``/jobs``, NDJSON event streams, ``/healthz``, ``/metrics``);
+  (``/jobs`` with long-polls, NDJSON event streams, ``/healthz``,
+  ``/metrics``);
 - :mod:`repro.serve.metrics` — live request/queue/latency/throughput
   counters with fixed-bucket latency histograms;
 - :mod:`repro.serve.client` — the synchronous client behind

@@ -11,20 +11,24 @@ Routes::
     GET  /metrics            live counters + cache/perf info (JSON)
     POST /jobs               submit a job request (protocol.parse_job)
     GET  /jobs               list known jobs (no result payloads)
-    GET  /jobs/<id>          one job, result included when done
+    GET  /jobs/<id>          one job, result included when done;
+                             ``?wait=S`` holds the answer up to S
+                             seconds for the job to end (long-poll)
     GET  /jobs/<id>/events   NDJSON status/progress stream to terminal
 
-Error mapping: validation 400, unknown id 404, full queue 429 (with
-``Retry-After``), draining 503.  ``SIGTERM``/``SIGINT`` trigger a
-graceful drain: intake stops, the in-flight engine batch finishes,
-queued jobs are persisted to a resubmit manifest, and the process
-exits 0 (see :meth:`ServeApp.serve_until_shutdown`).
+Error mapping: validation 400 (a bad ``wait`` or ``timeout`` too),
+unknown id 404, full queue 429 (with ``Retry-After``), draining 503.
+``SIGTERM``/``SIGINT`` trigger a graceful drain: the listener closes,
+queued jobs are cancelled and persisted to a resubmit manifest, the
+in-flight engine batch finishes, open connections get their answers,
+and the process exits 0 (see :meth:`ServeApp.shutdown`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import sys
 import threading
@@ -35,7 +39,12 @@ from urllib.parse import parse_qs, urlsplit
 from repro.exec.engine import ExecPolicy
 from repro.serve.metrics import ServiceMetrics, merge_sysinfo
 from repro.serve.protocol import ProtocolError, parse_job
-from repro.serve.scheduler import Backpressure, Draining, Scheduler
+from repro.serve.scheduler import (
+    Backpressure,
+    Draining,
+    JobEntry,
+    Scheduler,
+)
 
 #: Default TCP port of ``repro serve``.
 DEFAULT_PORT = 8177
@@ -51,6 +60,30 @@ _REASONS = {
 MAX_BODY_BYTES = 1 << 20
 #: Event streams emit a heartbeat line at this idle interval.
 HEARTBEAT_SECONDS = 15.0
+#: Ceiling on how long one request may wait for a job: an event
+#: stream's ``timeout`` and a long-poll's ``wait``.
+MAX_WAIT_SECONDS = 600.0
+
+
+def _seconds(query: Dict[str, str], name: str, default: float) -> float:
+    """Query parameter *name* as seconds, capped at MAX_WAIT_SECONDS.
+
+    *default* when absent; a non-numeric, NaN or negative value raises
+    :class:`ProtocolError` (answered 400).
+    """
+    raw = query.get(name)
+    if raw is None:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:  # NaN fails every comparison
+        raise ProtocolError(
+            f"{name} must be a non-negative number of seconds, "
+            f"got {raw!r}"
+        )
+    return min(MAX_WAIT_SECONDS, value)
 
 
 def _head(status: int, content_type: str,
@@ -129,14 +162,22 @@ class ServeApp:
         return await self.shutdown()
 
     async def shutdown(self) -> Dict[str, Any]:
-        """Close the listener and drain the scheduler."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Close the listener, drain the scheduler, then the connections.
+
+        The drain comes before waiting for open connections: since
+        Python 3.12.1 ``wait_closed()`` waits for every connection, so
+        a client following or long-polling a queued job would keep
+        that job alive until it ran.  Drained first, the job is
+        cancelled, and its waiters get that answer and hang up.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         self.drain_summary = await self.scheduler.drain(
             manifest_dir=self.drain_manifest_dir
         )
+        if server is not None:
+            await server.wait_closed()
         return self.drain_summary
 
     # ------------------------------------------------------------------
@@ -234,16 +275,24 @@ class ServeApp:
                     writer, 405, {"error": f"{method} not allowed"}
                 )
                 return
-            if rest.endswith("/events"):
-                await self._events(writer, rest[: -len("/events")], query)
+            stream = rest.endswith("/events")
+            job_id = rest[: -len("/events")] if stream else rest
+            try:
+                seconds = (_seconds(query, "timeout", 300.0) if stream
+                           else _seconds(query, "wait", 0.0))
+            except ProtocolError as exc:
+                await self._send_json(writer, 400, {"error": str(exc)})
                 return
-            entry = self.scheduler.entry(rest)
+            entry = self.scheduler.entry(job_id)
             if entry is None:
                 await self._send_json(
-                    writer, 404, {"error": f"unknown job {rest!r}"}
+                    writer, 404, {"error": f"unknown job {job_id!r}"}
                 )
                 return
-            await self._send_json(writer, 200, entry.to_dict())
+            if stream:
+                await self._events(writer, entry, seconds)
+            else:
+                await self._job(writer, entry, seconds)
             return
         if path in ("/healthz", "/metrics", "/jobs"):
             await self._send_json(
@@ -313,17 +362,18 @@ class ServeApp:
             "events": f"/jobs/{entry.key}/events",
         })
 
-    async def _events(self, writer, job_id: str, query) -> None:
-        entry = self.scheduler.entry(job_id)
-        if entry is None:
-            await self._send_json(
-                writer, 404, {"error": f"unknown job {job_id!r}"}
-            )
-            return
-        try:
-            timeout = min(600.0, float(query.get("timeout", 300.0)))
-        except ValueError:
-            timeout = 300.0
+    async def _job(self, writer, entry: JobEntry, wait: float) -> None:
+        """``GET /jobs/<id>``: held up to *wait* seconds while the job
+        is not terminal, then the document either way."""
+        if wait and not entry.terminal:
+            try:
+                await asyncio.wait_for(entry.done_event.wait(), wait)
+            except asyncio.TimeoutError:
+                pass
+        await self._send_json(writer, 200, entry.to_dict())
+
+    async def _events(self, writer, entry: JobEntry,
+                      timeout: float) -> None:
         queue = self.scheduler.subscribe(entry)
         writer.write(_head(200, "application/x-ndjson"))
         self.metrics.record_response(200)

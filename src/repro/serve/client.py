@@ -26,7 +26,7 @@ import socket
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit
 
 from repro.common.errors import ReproError
 from repro.exec.engine import ExecPolicy, ExecutionEngine, job_key
@@ -37,6 +37,9 @@ SERVER_ENV = "REPRO_SERVER"
 
 #: Job statuses after which a job document no longer changes.
 TERMINAL_STATUSES = ("done", "failed", "cancelled")
+
+#: Pause before asking again when a long-poll came back early.
+POLL_SECONDS = 0.25
 
 
 def default_server() -> str:
@@ -259,7 +262,8 @@ class ServeClient:
         try:
             try:
                 connection.request(
-                    "GET", f"/jobs/{job_id}/events?timeout={timeout:g}"
+                    "GET",
+                    f"/jobs/{job_id}/events?timeout={quote(f'{timeout:g}')}",
                 )
                 response = connection.getresponse()
             except (ConnectionError, socket.timeout, OSError) as exc:
@@ -289,29 +293,35 @@ class ServeClient:
         finally:
             connection.close()
 
-    def wait(self, job_id: str, timeout: float = 300.0,
-             poll: float = 0.25) -> Dict[str, Any]:
+    def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
         """Block until the job is terminal; returns its document.
 
-        Follows the event stream (cheap, push-based) and falls back to
-        polling ``GET /jobs/<id>`` if the stream ends early.
+        Each round trip is one long-poll ``GET /jobs/<id>?wait=S``: the
+        server answers when the job ends or after S seconds.  S is at
+        most half this client's socket timeout, so a healthy long-poll
+        never trips it, and at most what is left of *timeout*.  A
+        non-terminal answer that comes back before S elapsed (a server
+        that ignores ``wait``) is followed by a :data:`POLL_SECONDS`
+        pause, so the loop never spins.  Raises a 504
+        :class:`ServeError` once *timeout* has passed.
         """
         deadline = time.monotonic() + timeout
-        try:
-            for event in self.events(job_id, timeout=timeout):
-                if event.get("status") in TERMINAL_STATUSES:
-                    break
-        except ServeUnavailable:
-            pass  # server may be draining; fall through to polls
         while True:
-            document = self.job(job_id)
+            asked = time.monotonic()
+            wait = round(max(0.0, min(self.timeout / 2.0,
+                                      deadline - asked)), 3)
+            document = self._checked(
+                "GET", f"/jobs/{job_id}?wait={quote(f'{wait:g}')}"
+            )
             if document["status"] in TERMINAL_STATUSES:
                 return document
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServeError(
                     504, f"job {job_id} not terminal after {timeout}s"
                 )
-            time.sleep(poll)
+            if now - asked < wait:
+                time.sleep(min(POLL_SECONDS, deadline - now))
 
 
 def execute_inline(
