@@ -381,16 +381,21 @@ class ServeApp:
         deadline = loop.time() + timeout
         try:
             while True:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    event = await asyncio.wait_for(
-                        queue.get(), min(remaining, HEARTBEAT_SECONDS)
-                    )
-                except asyncio.TimeoutError:
-                    event = {"event": "heartbeat", "job_id": entry.key,
-                             "status": entry.status}
+                # Events already queued (the history replay) are always
+                # written; the deadline bounds only the wait for new ones.
+                if not queue.empty():
+                    event = queue.get_nowait()
+                else:
+                    remaining = deadline - loop.time()
+                    if remaining <= 0:
+                        break
+                    try:
+                        event = await asyncio.wait_for(
+                            queue.get(), min(remaining, HEARTBEAT_SECONDS)
+                        )
+                    except asyncio.TimeoutError:
+                        event = {"event": "heartbeat", "job_id": entry.key,
+                                 "status": entry.status}
                 if event is None:
                     break
                 writer.write(

@@ -9,6 +9,16 @@ pipe protocol never interleaves batches.
 
 Design points:
 
+- **spawn, not fork** — workers start with multiprocessing's spawn
+  method (:data:`_SPAWN`): the serve process runs an event loop and
+  executor threads, and forking a multi-threaded process can deadlock
+  the child on a lock some other thread held.  A spawned child
+  re-imports the main module, so a script that builds a pooled app
+  (``--jobs`` > 1, or any ``--job-timeout``) needs an
+  ``if __name__ == "__main__":`` guard.  Its imports take a few
+  hundred milliseconds, so the child reports ``ready`` once its
+  engine is built and the scheduler waits for that at start-up
+  (:meth:`ShardWorker.wait_ready`);
 - **byte-identity** — the child encodes results with
   :func:`encode_outcomes`, as the inline scheduler path does, and the
   parent stores the encoded payload as-is, so a sharded server returns
@@ -33,6 +43,9 @@ from repro.exec.engine import ExecPolicy, ExecutionEngine, JobResult
 
 #: Seconds a stopping worker gets to exit before ``terminate()``.
 STOP_GRACE_SECONDS = 5.0
+
+#: Start method of every worker (see the module docstring).
+_SPAWN = multiprocessing.get_context("spawn")
 
 
 class PoolError(RuntimeError):
@@ -90,6 +103,10 @@ def _worker_main(conn, policy: ExecPolicy, shard: int) -> None:
     except (OSError, ValueError):  # non-POSIX or exotic context
         pass
     engine = ExecutionEngine(policy)
+    try:
+        conn.send(("ready",))
+    except (BrokenPipeError, OSError):
+        return
     while True:
         try:
             while not conn.poll(0.2):
@@ -127,14 +144,14 @@ class ShardWorker:
         self.policy = policy
         self.restarts = 0
         self._conn = None
-        self._process: Optional[multiprocessing.Process] = None
+        self._process: Optional[multiprocessing.process.BaseProcess] = None
         self._spawn()
 
     # ------------------------------------------------------------------
 
     def _spawn(self) -> None:
-        parent, child = multiprocessing.Pipe()
-        process = multiprocessing.Process(
+        parent, child = _SPAWN.Pipe()
+        process = _SPAWN.Process(
             target=_worker_main,
             args=(child, self.policy, self.shard),
             name=f"repro-serve-shard-{self.shard}",
@@ -144,6 +161,22 @@ class ShardWorker:
         child.close()  # the child holds its own copy
         self._conn = parent
         self._process = process
+
+    def wait_ready(self) -> None:
+        """Block until the fresh child has built its engine.
+
+        A spawned child first imports the package, which takes a few
+        hundred milliseconds; call this once, before the first batch,
+        so that no job counts as running while its worker still
+        imports.  (:meth:`run_batch` skips the child's ``ready``
+        message when nobody waited for it, as after a respawn.)  A
+        child that dies while starting is left to :meth:`run_batch` to
+        respawn.
+        """
+        try:
+            self._conn.recv()
+        except (EOFError, OSError):
+            pass
 
     @property
     def alive(self) -> bool:
@@ -208,6 +241,7 @@ class ShardWorker:
                         pass
             elif message[0] == "done":
                 return message[1]
+            # anything else is a "ready" nobody waited for (a respawn)
 
     # ------------------------------------------------------------------
 

@@ -201,11 +201,16 @@ class Scheduler:
             return
         loop = asyncio.get_running_loop()
         if self.use_pool:
+            started = []
             for shard in range(self.shards):
                 if self._workers[shard] is None:
                     self._workers[shard] = ShardWorker(
                         shard, self.shard_policy
                     )
+                    started.append(self._workers[shard])
+            # The workers import in parallel; wait for all of them.
+            for worker in started:
+                worker.wait_ready()
         self._runners = [
             loop.create_task(
                 self._run_loop(shard),

@@ -60,18 +60,6 @@ class FetchUnit:
     delivered: int = 0              # uops already delivered (partial fetches)
     counted: bool = False           # structure_lookups already incremented
     hit_counted: bool = False       # structure_hits already incremented
-    #: last successful probe, valid while the storage version is
-    #: unchanged (deferral retries re-fetch the same lines; skip the
-    #: content re-verification when nothing mutated in between)
-    cached_map: Optional[dict] = None
-    cached_version: int = -1
-    #: OR of the cached mapping's bank bits — one AND decides the
-    #: no-conflict arbitration fast path
-    cached_bits: int = 0
-    #: fast path is only sound when the mapping's orders sit in
-    #: pairwise-distinct banks (a bank serves one line per cycle, so a
-    #: same-bank pair must go through the serializing slow loop)
-    cached_clean: bool = False
 
 
 class _Run:
@@ -108,31 +96,6 @@ class _Run:
         self.resolved: Optional[Tuple[str, Optional[FetchUnit]]] = None
         self.pending: Optional[FetchUnit] = None
         self.max_xb = 0        # hoisted XbcConfig.max_xb_uops
-        #: (id(step.uops), consumed) -> (tail, tail reversed).  The memo
-        #: holds the tail tuples alive, so a split-chain occurrence
-        #: reuses ONE tuple object per (static chunk, consumed) pair —
-        #: which is what lets the pointer-level probe memo hit on the
-        #: identity compare of rev_expected.
-        self.tails: dict = {}
-        #: (id(seq), offset) -> reversed prefix of seq.  Keys are only
-        #: ever step.uops tuples or memoized tails (both run-lifetime
-        #: objects), so the ids are stable.
-        self.rev_memo: dict = {}
-        #: (xb_ip, offset, id(expected)) -> (storage version, mask or
-        #: None): the outcome of one payload resolution, reusable while
-        #: the storage is unchanged (the resolution is a pure function
-        #: of the version; its heal side effects are idempotent).
-        self.payload_memo: dict = {}
-        #: (xb_ip, mask, offset, id(expected)) -> (set version, map):
-        #: probe memo for pointer-less fetch units (combined XBs),
-        #: which have no XbPointer to hang the cache on.
-        self.probe_memo: dict = {}
-        #: strong refs pinning every tuple whose id() is (or may become)
-        #: a memo key but that no run-lifetime structure holds — the
-        #: trimmed rev_expected of partial fetches.  Without the pin the
-        #: tuple can be collected and its id reused by a different
-        #: tuple, turning a memo hit into silent corruption.
-        self.pins: list = []
 
 
 class XbcFrontend(FrontendModel):
@@ -277,8 +240,7 @@ class XbcFrontend(FrontendModel):
         flow = r.flow
 
         storage = r.storage
-        set_versions = storage.set_versions
-        set_mask = storage._set_mask
+        line_uops = xc.line_uops
         banks_used = 0
         delivered_any = False
         slots = xc.xbs_per_cycle
@@ -308,55 +270,9 @@ class XbcFrontend(FrontendModel):
                 stats.structure_lookups += 1
                 unit.counted = True
 
-            version = set_versions[(unit.xb_ip >> 1) & set_mask]
-            mapping = unit.cached_map
-            if mapping is None or unit.cached_version != version:
-                ptr = unit.source_ptr
-                if ptr is not None:
-                    key = (version, unit.mask, unit.offset)
-                    if (
-                        ptr.cache_key == key
-                        and ptr.cache_rev is unit.rev_expected
-                    ):
-                        mapping = ptr.cache_map
-                    else:
-                        mapping = storage.probe(
-                            unit.xb_ip, unit.mask, unit.offset,
-                            unit.rev_expected,
-                        )
-                        if mapping is not None:
-                            ptr.cache_key = key
-                            ptr.cache_rev = unit.rev_expected
-                            ptr.cache_map = mapping
-                else:
-                    # Pointer-less units (combined XBs): run-level memo.
-                    mkey = (
-                        unit.xb_ip, unit.mask, unit.offset,
-                        id(unit.rev_expected),
-                    )
-                    hit = r.probe_memo.get(mkey)
-                    if hit is not None and hit[0] == version:
-                        mapping = hit[1]
-                    else:
-                        mapping = storage.probe(
-                            unit.xb_ip, unit.mask, unit.offset,
-                            unit.rev_expected,
-                        )
-                        if mapping is not None:
-                            r.probe_memo[mkey] = (version, mapping)
-                if mapping is not None:
-                    unit.cached_map = mapping
-                    unit.cached_version = version
-                    bits = 0
-                    clean = True
-                    for slot in mapping.values():
-                        bit = 1 << slot[0]
-                        if bits & bit:
-                            clean = False
-                        bits |= bit
-                    unit.cached_bits = bits
-                    unit.cached_clean = clean
-
+            mapping = storage.probe(
+                unit.xb_ip, unit.mask, unit.offset, unit.rev_expected
+            )
             if mapping is None:
                 if xc.enable_set_search:
                     stats.bump("set_searches")
@@ -379,75 +295,38 @@ class XbcFrontend(FrontendModel):
                 stats.structure_hits += 1
                 unit.hit_counted = True
 
-            # Fast path: the mapping's banks are pairwise distinct and
-            # none overlaps this cycle's fetches, so the whole mapping
-            # is fetched — one AND replaces the arbitration scan.  (The
-            # cached mapping always covers exactly the orders the
-            # unit's current offset needs.)
-            bits = unit.cached_bits
-            if unit.cached_clean and not banks_used & bits:
-                delivered = unit.offset
-                banks_used |= bits
-                # inline storage.touch(): LRU-refresh the fetched lines
-                storage._clock += 1
-                stamp = storage._clock
-                set_lines = storage._sets[(unit.xb_ip >> 1) & set_mask]
-                for bank, way in mapping.values():
-                    line = set_lines[bank][way]
-                    if line is not None:
-                        line.stamp = stamp
-            else:
-                line_uops = xc.line_uops
-                needed = (unit.offset + line_uops - 1) // line_uops
-                fetched: dict = {}
-                stop_order = 0  # orders [stop_order, needed) were fetched
-                for order in range(needed - 1, -1, -1):
-                    slot = mapping[order]
-                    bit = 1 << slot[0]
-                    if banks_used & bit:
-                        stop_order = order + 1
-                        break
-                    fetched[order] = slot
-                    banks_used |= bit
-                else:
-                    stop_order = 0
-
-                if not fetched:  # deferred: retry next cycle
-                    self._note_conflict(r, unit, mapping, banks_used)
-                    r.pending = unit
+            # Bank arbitration: fetch orders top-down until a bank this
+            # cycle already used; the rest is deferred to the next cycle.
+            needed = (unit.offset + line_uops - 1) // line_uops
+            fetched: dict = {}
+            stop_order = 0  # orders [stop_order, needed) were fetched
+            for order in range(needed - 1, -1, -1):
+                slot = mapping[order]
+                bit = 1 << slot[0]
+                if banks_used & bit:
+                    stop_order = order + 1
                     break
+                fetched[order] = slot
+                banks_used |= bit
 
-                delivered = unit.offset - stop_order * line_uops
-                storage.touch(storage.index_of(unit.xb_ip), fetched)
+            if not fetched:  # deferred: retry next cycle
+                self._note_conflict(r, unit, mapping, banks_used)
+                r.pending = unit
+                break
 
-                if stop_order > 0:  # partial: the rest next cycle
-                    stats.uops_from_structure += delivered
-                    flow.occupancy += delivered
-                    unit.delivered += delivered
-                    unit.offset = stop_order * line_uops
-                    unit.rev_expected = unit.rev_expected[: unit.offset]
-                    # Pin the trimmed tuple: its id() can become a probe
-                    # memo key, and id-keyed memos are only sound while
-                    # the keyed object stays alive (id reuse after GC
-                    # would alias a different tuple onto a stale entry).
-                    r.pins.append(unit.rev_expected)
-                    # Keep the cached-mapping invariant: exactly the
-                    # orders the reduced offset needs, matching bits.
-                    trimmed = {o: mapping[o] for o in range(stop_order)}
-                    tbits = 0
-                    tclean = True
-                    for slot in trimmed.values():
-                        bit = 1 << slot[0]
-                        if tbits & bit:
-                            tclean = False
-                        tbits |= bit
-                    unit.cached_map = trimmed
-                    unit.cached_bits = tbits
-                    unit.cached_clean = tclean
-                    self._note_conflict(r, unit, mapping, banks_used)
-                    delivered_any = True
-                    r.pending = unit
-                    break
+            delivered = unit.offset - stop_order * line_uops
+            storage.touch(storage.index_of(unit.xb_ip), fetched)
+
+            if stop_order > 0:  # partial: the rest next cycle
+                stats.uops_from_structure += delivered
+                flow.occupancy += delivered
+                unit.delivered += delivered
+                unit.offset = stop_order * line_uops
+                unit.rev_expected = unit.rev_expected[: unit.offset]
+                self._note_conflict(r, unit, mapping, banks_used)
+                delivered_any = True
+                r.pending = unit
+                break
 
             stats.uops_from_structure += delivered
             flow.occupancy += delivered  # inline flow.push()
@@ -535,7 +414,8 @@ class XbcFrontend(FrontendModel):
         """
         step = r.steps[r.si]
         if r.consumed:
-            remaining, rev = self._tail_of(r, step, r.consumed)
+            remaining = step.uops[r.consumed:]
+            rev = remaining[::-1]
         else:
             remaining, rev = step.uops, step.rev
         entry = r.cur_entry
@@ -580,18 +460,7 @@ class XbcFrontend(FrontendModel):
                 r, entry, step, remaining, in_build=False
             )
 
-        # _validate_ptr, inline
-        shape = None
-        if ptr is not None:
-            rem = len(remaining)
-            if ptr.xb_ip == step.end_ip and ptr.offset == rem:
-                shape = "full"
-            elif (
-                0 < ptr.offset < rem
-                and uop_uid_ip(remaining[ptr.offset - 1]) == ptr.xb_ip
-                and uop_uid_ip(remaining[ptr.offset]) != ptr.xb_ip
-            ):
-                shape = "prefix"
+        shape = self._validate_ptr(ptr, step, remaining)
         if mispredict is not None:
             r.stats.add_penalty("mispredict", self.config.mispredict_penalty)
             if shape is None:
@@ -601,32 +470,6 @@ class XbcFrontend(FrontendModel):
             return ("build", None)
         unit = self._make_unit(r, ptr, step, remaining, shape, rev)
         return ("unit", unit)
-
-    @staticmethod
-    def _tail_of(r: _Run, step: XbStep, consumed: int):
-        """Memoized (tail, reversed tail) of steps split by *consumed*.
-
-        Returning the SAME tuple objects for every occurrence of a
-        (static chunk, consumed) pair keeps the pointer-level probe
-        memo's identity compare effective on split-chain tails.
-        """
-        key = (id(step.uops), consumed)
-        cached = r.tails.get(key)
-        if cached is None:
-            tail = step.uops[consumed:]
-            cached = (tail, tail[::-1])
-            r.tails[key] = cached
-        return cached
-
-    @staticmethod
-    def _prefix_rev_of(r: _Run, seq, offset: int):
-        """Memoized ``seq[:offset][::-1]`` (*seq* must be run-lifetime)."""
-        key = (id(seq), offset)
-        out = r.rev_memo.get(key)
-        if out is None:
-            out = seq[:offset][::-1]
-            r.rev_memo[key] = out
-        return out
 
     def _transition(
         self,
@@ -740,36 +583,27 @@ class XbcFrontend(FrontendModel):
         several variants with different prefixes (§3.3).
         """
         xb_ip, offset = payload
-        key = (xb_ip, offset, id(rev_expected))
-        storage = r.storage
-        version = storage.set_versions[(xb_ip >> 1) & storage._set_mask]
-        hit = r.payload_memo.get(key)
-        if hit is not None and hit[0] == version:
-            mask = hit[1]
-            return None if mask is None else XbPointer(xb_ip, mask, offset)
-        result: Optional[int] = None
         target = r.xbtb.peek(xb_ip)
-        if target is not None:
-            for variant in target.valid_variants(r.storage):
-                if variant.length < offset:
-                    continue
-                # Locate through the variant's line references: dynamic
-                # placement may have moved lines, leaving the mask stale.
-                mapping = variant.locate(r.storage, xb_ip)
-                if mapping is None:
-                    continue
-                mask = 0
-                for bank, _way in mapping.values():
-                    mask |= 1 << bank
-                variant.mask = mask  # heal the record while we are here
-                if rev_expected is not None and r.storage.probe(
-                    xb_ip, mask, offset, rev_expected
-                ) is None:
-                    continue
-                result = mask
-                break
-        r.payload_memo[key] = (version, result)
-        return None if result is None else XbPointer(xb_ip, result, offset)
+        if target is None:
+            return None
+        for variant in target.valid_variants(r.storage):
+            if variant.length < offset:
+                continue
+            # Locate through the variant's line references: dynamic
+            # placement may have moved lines, leaving the mask stale.
+            mapping = variant.locate(r.storage, xb_ip)
+            if mapping is None:
+                continue
+            mask = 0
+            for bank, _way in mapping.values():
+                mask |= 1 << bank
+            variant.mask = mask  # heal the record while we are here
+            if rev_expected is not None and r.storage.probe(
+                xb_ip, mask, offset, rev_expected
+            ) is None:
+                continue
+            return XbPointer(xb_ip, mask, offset)
+        return None
 
     def _resolve_payload_ptr(
         self,
@@ -787,13 +621,13 @@ class XbcFrontend(FrontendModel):
         xb_ip, offset = payload
         rem = len(remaining)
         if xb_ip == step.end_ip and offset == rem:
-            expected = self._prefix_rev_of(r, remaining, rem)
+            expected = remaining[::-1]
         elif (
             0 < offset < rem
             and uop_uid_ip(remaining[offset - 1]) == xb_ip
             and uop_uid_ip(remaining[offset]) != xb_ip
         ):
-            expected = self._prefix_rev_of(r, remaining, offset)
+            expected = remaining[:offset][::-1]
         else:
             return None
         return self._pointer_from_payload(r, payload, expected)
@@ -829,15 +663,19 @@ class XbcFrontend(FrontendModel):
         step: XbStep,
         remaining: Sequence[int],
         shape: str,
-        rev: Optional[Sequence[int]] = None,
+        rev: Sequence[int],
     ) -> FetchUnit:
-        """Build the fetch unit, upgrading to a combined XB (§3.8)."""
+        """Build the fetch unit, upgrading to a combined XB (§3.8).
+
+        *rev* is *remaining* reversed, the expected content of a full
+        entry.
+        """
         if shape == "prefix":
             return FetchUnit(
                 xb_ip=ptr.xb_ip,
                 mask=ptr.mask,
                 offset=ptr.offset,
-                rev_expected=self._prefix_rev_of(r, remaining, ptr.offset),
+                rev_expected=remaining[: ptr.offset][::-1],
                 advance_steps=0,
                 source_ptr=ptr,
             )
@@ -865,16 +703,11 @@ class XbcFrontend(FrontendModel):
                 if variant is not None:
                     r.promoter.on_outcome(target, step.taken)
                     r.stats.bump("comb_fetches")
-                    key = (id(remaining), id(nxt.uops), -1)
-                    crev = r.rev_memo.get(key)
-                    if crev is None:
-                        crev = (tuple(remaining) + nxt.uops)[::-1]
-                        r.rev_memo[key] = crev
                     return FetchUnit(
                         xb_ip=target.forward_xb_ip,
                         mask=variant.mask,
                         offset=comb_offset,
-                        rev_expected=crev,
+                        rev_expected=nxt.rev + rev,  # both steps, reversed
                         advance_steps=2,
                     )
 
@@ -882,7 +715,7 @@ class XbcFrontend(FrontendModel):
             xb_ip=ptr.xb_ip,
             mask=ptr.mask,
             offset=ptr.offset,
-            rev_expected=rev if rev is not None else remaining[::-1],
+            rev_expected=rev,
             advance_steps=1,
             source_ptr=ptr,
         )
@@ -941,9 +774,7 @@ class XbcFrontend(FrontendModel):
 
     def _finalize_step(self, r: _Run) -> None:
         step = r.steps[r.si]
-        occurrence = (
-            self._tail_of(r, step, r.consumed)[0] if r.consumed else step.uops
-        )
+        occurrence = step.uops[r.consumed:]
         entry, new_ptr = r.fill.install(
             step.end_ip, step.end_kind, occurrence, avoid_mask=r.last_mask
         )
@@ -983,9 +814,7 @@ class XbcFrontend(FrontendModel):
         if entry is None:
             return False
         step = r.steps[r.si]
-        remaining = (
-            self._tail_of(r, step, r.consumed)[0] if r.consumed else step.uops
-        )
+        remaining = step.uops[r.consumed:]
         kind = entry.end_kind
         ptr: Optional[XbPointer]
         if kind is None:
@@ -1003,17 +832,9 @@ class XbcFrontend(FrontendModel):
                 self._resolve_payload_ptr(r, predicted, step, remaining)
                 if predicted is not None else None
             )
-        shape = self._validate_ptr(ptr, step, remaining)
-        if shape != "full":
-            if shape != "prefix":
-                return False
-        assert ptr is not None
-        if shape == "prefix":
-            expected = self._prefix_rev_of(r, remaining, ptr.offset)
-        elif r.consumed == 0:
-            expected = step.rev
-        else:
-            expected = self._tail_of(r, step, r.consumed)[1]
+        if self._validate_ptr(ptr, step, remaining) is None:
+            return False
+        expected = remaining[: ptr.offset][::-1]
         return (
             r.storage.probe(ptr.xb_ip, ptr.mask, ptr.offset, expected)
             is not None

@@ -16,7 +16,7 @@ sharing the pointer object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -26,16 +26,6 @@ class XbPointer:
     xb_ip: int
     mask: int
     offset: int
-    #: memo of the last verified probe through this pointer, keyed by
-    #: (storage version, mask, offset) plus the identity of the
-    #: expected-content tuple (held strongly so the identity test is
-    #: sound).  A loop that refetches the same XB with an unchanged
-    #: storage skips the content re-verification entirely.
-    cache_key: tuple = field(default=(None,), compare=False, repr=False)
-    cache_rev: object = field(default=None, compare=False, repr=False)
-    cache_map: dict = field(  # type: ignore[assignment]
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.offset < 1:

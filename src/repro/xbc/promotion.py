@@ -83,10 +83,11 @@ class Promoter:
         same way.  The attempt is a pure function of the storage
         content (covered by ``storage.version``), the XBTB population
         (covered by its allocation/eviction counters), the promotion
-        direction and the followed pointer — so an attempt whose key is
-        unchanged can be skipped outright, replaying only the counter
-        bumps the original failure made.  Successes are never memoized
-        (they change the storage version anyway).
+        direction and the followed pointer's target and offset — so an
+        attempt whose key is unchanged can be skipped outright,
+        replaying only the counter bumps the original failure made.
+        Successes are never memoized (they change the storage version
+        anyway).
         """
         direction = e0.bias.monotone_direction()
         ptr1 = e0.pointer_for(direction)
@@ -99,7 +100,7 @@ class Promoter:
             xbtb.allocations,
             xbtb.evictions,
             direction,
-            id(ptr1),
+            ptr1.xb_ip,
             ptr1.offset,
         )
         memo = e0.promo_fail

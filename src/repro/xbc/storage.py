@@ -39,6 +39,9 @@ from repro.xbc.config import XbcConfig
 #: (bank, way) location of one line inside a set.
 Slot = Tuple[int, int]
 
+#: probe-memo sentinel (``None`` is a memoized miss).
+_UNSEEN = object()
+
 
 class XbcLine:
     """One data-array line: a tag, an order, and reversed uop slots.
@@ -88,15 +91,20 @@ class XbcStorage:
         ]
         self._clock = 0
         #: bumped on every content/placement mutation (place, remove,
-        #: in-place extension, relocation).  Probe results are pure
-        #: functions of (version, arguments); callers may cache them
-        #: across cycles while the version is unchanged.
+        #: in-place extension, relocation).  Read by the promotion-
+        #: failure memo (:meth:`repro.xbc.promotion.Promoter._try_promote`).
         self.version = 0
-        #: per-set mutation counters.  An XB's lines all live in the set
-        #: named by its end-IP, so a probe/variant-validity memo keyed
-        #: by the *set* version survives mutations in other sets — which
-        #: is most of them (build interludes touch a handful of sets).
+        #: per-set mutation counters, bumped with :attr:`version`.  An
+        #: XB's lines all live in the set named by its end-IP, so
+        #: :meth:`repro.xbc.xbtb.XbtbEntry.valid_variants` keys its memo
+        #: on the *set* counter, which survives mutations in other sets.
         self.set_versions: List[int] = [0] * self.num_sets
+        #: per-set probe memo: ``(xb_ip, mask, offset, expected_rev)`` ->
+        #: :meth:`probe` result, misses included.  A probe reads only
+        #: its own set, so :meth:`_changed` clears just that set's dict.
+        self._probes: List[Dict[tuple, Optional[Dict[int, Slot]]]] = [
+            {} for _ in range(self.num_sets)
+        ]
         self._deferrals: Dict[Tuple[int, int], int] = {}
         #: exact ``{order: (bank, way)}`` placement of the last
         #: successful insert/extend/add_variant — the fill unit records
@@ -152,9 +160,32 @@ class XbcStorage:
         *expected_rev* (uops in reverse order) is given, line contents
         are verified against it — a mismatch is a miss, which sends the
         frontend down the set-search path.
+
+        The result is a pure function of the arguments and the set's
+        contents, so it is memoized per set until the set next changes;
+        a delivery loop that refetches the same XBs pays one dict
+        lookup per fetch.  The returned mapping is shared with later
+        probes: callers must not mutate it.
         """
         if expected_rev is not None and type(expected_rev) is not tuple:
             expected_rev = tuple(expected_rev)
+        memo = self._probes[(xb_ip >> 1) & self._set_mask]
+        key = (xb_ip, mask, offset, expected_rev)
+        found = memo.get(key, _UNSEEN)
+        if found is _UNSEEN:
+            found = memo[key] = self._probe_uncached(
+                xb_ip, mask, offset, expected_rev
+            )
+        return found
+
+    def _probe_uncached(
+        self,
+        xb_ip: int,
+        mask: int,
+        offset: int,
+        expected_rev: Optional[Tuple[int, ...]],
+    ) -> Optional[Dict[int, Slot]]:
+        """:meth:`probe`'s lookup itself, bypassing the memo."""
         if mask >> self.banks:
             return None  # corrupt/stale mask
         line_uops = self.line_uops
@@ -424,8 +455,7 @@ class XbcStorage:
         top_line.uops.extend(rev_added[:take])
         top_line.tup = tuple(top_line.uops)
         top_line.stamp = stamp
-        self.version += 1
-        self.set_versions[set_idx] += 1
+        self._changed(set_idx)
         rest = rev_added[take:]
 
         placement = dict(mapping)
@@ -532,10 +562,15 @@ class XbcStorage:
     # placement internals
     # ------------------------------------------------------------------
 
-    def _place(self, set_idx: int, bank: int, way: int, line: XbcLine) -> None:
-        """Install *line* at (bank, way) and index it under its tag."""
+    def _changed(self, set_idx: int) -> None:
+        """Note a mutation of one set: bump its counters, drop its probes."""
         self.version += 1
         self.set_versions[set_idx] += 1
+        self._probes[set_idx].clear()
+
+    def _place(self, set_idx: int, bank: int, way: int, line: XbcLine) -> None:
+        """Install *line* at (bank, way) and index it under its tag."""
+        self._changed(set_idx)
         self._sets[set_idx][bank][way] = line
         line.bank = bank
         line.way = way
@@ -549,8 +584,7 @@ class XbcStorage:
 
     def _remove(self, set_idx: int, line: XbcLine) -> None:
         """Clear *line*'s slot and drop it from the tag directory."""
-        self.version += 1
-        self.set_versions[set_idx] += 1
+        self._changed(set_idx)
         self._sets[set_idx][line.bank][line.way] = None
         line.resident = False
         tags = self._tags[set_idx]
@@ -722,8 +756,7 @@ class XbcStorage:
                 if other is not None and other.tag == line.tag:
                     break  # would create same-tag ambiguity in that bank
                 if other is None or other.stamp < line.stamp:
-                    self.version += 1
-                    self.set_versions[set_idx] += 1
+                    self._changed(set_idx)
                     set_lines[target_bank][target_way] = line
                     set_lines[bank][way] = other
                     line.bank, line.way = target_bank, target_way

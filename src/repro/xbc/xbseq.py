@@ -62,10 +62,8 @@ class XbFlatColumns(NamedTuple):
     """Column-oriented view of the XB stream (no simulator loop reads it).
 
     The scalar fields of every :class:`XbStep` unpacked into parallel
-    packed arrays, plus the uop/rev tuples as plain lists.  The tuple
-    objects are the *same* objects the :func:`build_xb_stream` steps
-    hold, so identity-keyed memos (pointer probe caches, tail memos)
-    work interchangeably across both views.
+    packed arrays, plus the uop/rev tuples as plain lists (the same
+    tuple objects the :func:`build_xb_stream` steps hold).
     """
 
     end_ips: array        # "q": IP of each step's ending instruction

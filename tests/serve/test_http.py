@@ -417,6 +417,17 @@ def test_wait_paces_its_polls_when_the_server_ignores_wait():
 # ---------------------------------------------------------------------------
 
 
+def test_zero_timeout_still_replays_a_finished_jobs_history(server):
+    """The stream's ``timeout`` bounds only the wait for new events: on
+    a finished job ``timeout=0`` replays the same history as the
+    default stream."""
+    job_id = server.submit(REQUEST)["job_id"]
+    server.wait(job_id, timeout=60.0)
+    full = list(server.events(job_id))
+    assert [event["event"] for event in full][-1] == "done"
+    assert list(server.events(job_id, timeout=0)) == full
+
+
 BAD_SECONDS = ["abc", "nan", "-5", "-inf"]
 
 

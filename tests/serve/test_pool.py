@@ -15,6 +15,7 @@ import glob
 import json
 import threading
 import time
+import warnings
 
 from repro.exec.engine import ExecPolicy, ExecutionEngine, job_key
 from repro.serve.pool import ShardWorker
@@ -214,6 +215,38 @@ def test_sharded_results_byte_identical_to_single_worker(tmp_path):
     single = serve_all(1, str(tmp_path / "single"))
     sharded = serve_all(2, str(tmp_path / "sharded"))
     assert single == sharded
+
+
+# ---------------------------------------------------------------------------
+# start method: never fork the multi-threaded serve process
+# ---------------------------------------------------------------------------
+
+
+def test_worker_start_does_not_fork_a_threaded_process(tmp_path):
+    """The serve process runs an event loop and executor threads when it
+    starts a worker.  Forking it can deadlock the child, and Python 3.12
+    warns "This process ... is multi-threaded, use of fork() may lead to
+    deadlocks"; a spawned worker issues no such warning."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            worker = ShardWorker(0, _policy(tmp_path))
+            try:
+                assert worker.alive
+            finally:
+                worker.stop()
+    finally:
+        release.set()
+        other.join()
+    forks = [
+        str(warning.message) for warning in caught
+        if issubclass(warning.category, DeprecationWarning)
+        and str(warning.message).startswith("This process")
+    ]
+    assert forks == []
 
 
 # ---------------------------------------------------------------------------

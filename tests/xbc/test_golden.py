@@ -7,9 +7,10 @@ configurations:
 
 * ``default`` — :class:`XbcConfig` as the figures build it, and
 * ``churn`` — a 512-uop data array.  Constant evictions and refills
-  recycle the trimmed tuples of partial fetches, which are exactly the
-  objects whose ``id()`` the probe/rev memos key on; a memo that
-  outlived its key would show up here as drift.
+  exercise per-set invalidation: every placement, removal, in-place
+  extension and relocation clears its set's probe memo in
+  :class:`~repro.xbc.storage.XbcStorage`, and a mutation that left a
+  stale probe result behind would show up here as drift.
 
 Per case the golden file stores the trace's content hash, the stable
 hash of the encoded :class:`FrontendStats` of a stats-only run (queue
@@ -140,7 +141,8 @@ def test_cycle_log_matches_golden(suite, suite_traces, runs, golden):
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_storage_churn_keeps_memos_sound(suite, suite_traces, runs, golden):
-    """Under constant eviction the stats and the log still match the pin."""
+    """Under constant eviction, which keeps clearing the storage's
+    per-set probe memos, the stats and the log still match the pin."""
     _check_logged_run("churn", suite, suite_traces, runs)
     _check_golden("churn", suite, ("stats", "cycle_log"), suite_traces,
                   runs, golden)
