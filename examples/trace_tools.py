@@ -9,6 +9,7 @@ simulation.
 Run with:  python examples/trace_tools.py [path]
 """
 
+import os
 import sys
 import tempfile
 from collections import Counter
@@ -25,9 +26,12 @@ from repro.xbc.xbseq import build_xb_stream
 
 
 def main() -> None:
-    path = sys.argv[1] if len(sys.argv) > 1 else None
-    if path is None:
-        path = tempfile.mktemp(suffix=".trace")
+    if len(sys.argv) > 1:
+        analyze(sys.argv[1])
+        return
+    # No path given: write a demo trace to a directory removed on exit.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "games-demo.trace")
         program = generate_program(
             profile_for_suite("games"), seed=77, name="games-demo",
             suite="games",
@@ -35,7 +39,11 @@ def main() -> None:
         trace = execute_program(program, max_uops=60_000)
         save_trace(trace, path)
         print(f"wrote {path}")
+        analyze(path)
 
+
+def analyze(path: str) -> None:
+    """Load the trace at *path* and print its XB and Figure-1 statistics."""
     trace = load_trace(path)
     print(trace.describe())
 

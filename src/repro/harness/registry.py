@@ -13,10 +13,11 @@ budget.  The default *scaled* registry uses 3 traces per suite and
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
+from repro.isa.instruction import Instruction
 from repro.program.generator import generate_program
 from repro.program.profiles import (
     PROFILE_STATIC_UOPS,
@@ -208,7 +209,8 @@ class TraceCacheStats:
     """In-process trace-cache statistics (``repro info`` surfaces these)."""
 
     entries: int = 0
-    #: approximate resident size of the cached record lists.
+    #: resident size of the cached traces and the views memoized on
+    #: them (hot columns, XB streams), each shared object counted once.
     bytes: int = 0
     hits: int = 0
     misses: int = 0
@@ -268,16 +270,39 @@ def make_trace(spec: TraceSpec) -> Trace:
 
 
 def _trace_bytes(trace: Trace) -> int:
-    """Rough resident size of one cached trace's columns."""
-    size = (
-        sys.getsizeof(trace.ips)
-        + sys.getsizeof(trace.takens)
-        + sys.getsizeof(trace.next_ips)
-        + sys.getsizeof(trace.kinds)
-        + sys.getsizeof(trace.nuops)
-        + sys.getsizeof(trace.snexts)
-    )
-    size += sys.getsizeof(trace.instr_table)
+    """Resident size of one cached trace and the views memoized on it.
+
+    Counts the six column arrays, the instruction table with its
+    :class:`~repro.isa.instruction.Instruction` objects, and everything
+    ``trace._derived`` holds (hot columns, XB stream): every list and
+    tuple with its slots, and every object they reach once, however
+    many slots share it (the pooled address ints, the uop tuples an XB
+    template hands to each occurrence).
+    """
+    getsizeof = sys.getsizeof
+    size = sum(map(getsizeof, (
+        trace.ips, trace.takens, trace.next_ips,
+        trace.kinds, trace.nuops, trace.snexts, trace.instr_table,
+    )))
+    # An Instruction keeps its attributes in one 8-byte slot per field;
+    # reading its ``__dict__`` to size them would create that dict.
+    instrs = trace.instr_table.values()
+    size += sum(map(getsizeof, instrs))
+    size += 8 * len(fields(Instruction)) * len(instrs)
+    # Breadth-first over the views, one level of references at a time;
+    # the per-slot work (id, dedup, size) stays in C.
+    seen: Dict[int, object] = {}
+    level: List[object] = list(trace._derived.values())
+    while level:
+        fresh = dict(zip(map(id, level), level))
+        for known in fresh.keys() & seen.keys():
+            del fresh[known]
+        seen.update(fresh)
+        size += sum(map(getsizeof, fresh.values()))
+        level = []
+        for obj in fresh.values():
+            if isinstance(obj, (list, tuple)):
+                level.extend(obj)
     return size
 
 

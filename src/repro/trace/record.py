@@ -165,21 +165,31 @@ class Trace:
 
         ``array('q')`` subscripting boxes a fresh ``int`` per access;
         a ``list`` holds the already-boxed objects, which is what the
-        flat frontend loops index millions of times.  Costs one extra
-        in-memory copy of the columns per trace — acceptable because
-        traces are bounded by the experiment uop budget.
+        flat frontend loops index millions of times.  The three address
+        lists hold one ``int`` per distinct address, shared by ``ips``,
+        ``next_ips`` and ``snexts``: a trace revisits a few thousand
+        addresses, so boxing each occurrence anew would cost ~32 bytes
+        per dynamic instruction and column, where the shared ints leave
+        a list slot (8 bytes).  The small ints of the other three lists
+        are interned by the interpreter already.
 
         Returns ``(ips, takens, next_ips, kinds, nuops, snexts)``.
         """
         cols = self._derived.get("hot_columns")
         if cols is None:
+            share = {}.setdefault
+
+            def shared(column: array) -> List[int]:
+                values = column.tolist()
+                return list(map(share, values, values))
+
             cols = (
-                list(self.ips),
+                shared(self.ips),
                 list(self.takens),
-                list(self.next_ips),
+                shared(self.next_ips),
                 list(self.kinds),
                 list(self.nuops),
-                list(self.snexts),
+                shared(self.snexts),
             )
             self._derived["hot_columns"] = cols
         return cols

@@ -40,7 +40,8 @@ class XbStep(NamedTuple):
     is ``None`` for quota-split blocks (single fall-through successor).
     ``rev`` is ``uops`` reversed — the order the XBC stores lines in —
     precomputed because delivery-mode verification consumes it on every
-    occurrence.
+    occurrence.  Like the uop tuples, ``next_ip`` is shared: the steps
+    of one stream hold one ``int`` per distinct successor address.
     """
 
     end_ip: int
@@ -125,6 +126,8 @@ def build_xb_stream(trace: Trace, quota: int = 16) -> List[XbStep]:
 
     steps: List[XbStep] = []
     append_step = steps.append
+    # Successor addresses repeat across steps: keep one int per address.
+    share = {}.setdefault
     # One template per distinct static run, keyed by the run's raw ip
     # bytes (same ips => same instructions => same chunking).
     templates: Dict[bytes, Tuple[Tuple[_ChunkTemplate, ...], bool]] = {}
@@ -145,13 +148,15 @@ def build_xb_stream(trace: Trace, quota: int = 16) -> List[XbStep]:
             last = len(chunks) - 1
             for pos, chunk in enumerate(chunks):
                 end_abs = start + chunk.rel_end
+                next_ip = next_ips[end_abs]
+                next_ip = share(next_ip, next_ip)
                 if pos == last:
                     append_step(XbStep(
                         end_ip=chunk.end_ip,
                         end_kind=kinds_by_code[kinds[end_abs]],
                         uops=chunk.uops,
                         taken=bool(takens[end_abs]),
-                        next_ip=next_ips[end_abs],
+                        next_ip=next_ip,
                         first_record=start + chunk.rel_first,
                         last_record=end_abs,
                         rev=chunk.rev,
@@ -162,7 +167,7 @@ def build_xb_stream(trace: Trace, quota: int = 16) -> List[XbStep]:
                         end_kind=None,
                         uops=chunk.uops,
                         taken=False,
-                        next_ip=next_ips[end_abs],
+                        next_ip=next_ip,
                         first_record=start + chunk.rel_first,
                         last_record=end_abs,
                         rev=chunk.rev,
@@ -173,12 +178,14 @@ def build_xb_stream(trace: Trace, quota: int = 16) -> List[XbStep]:
         index = n - 1
         for chunk in _chunk_templates(ips, nuops, quota, start, index):
             end_abs = start + chunk.rel_end
+            next_ip = next_ips[end_abs]
+            next_ip = share(next_ip, next_ip)
             append_step(XbStep(
                 end_ip=chunk.end_ip,
                 end_kind=None,
                 uops=chunk.uops,
                 taken=False,
-                next_ip=next_ips[end_abs],
+                next_ip=next_ip,
                 first_record=start + chunk.rel_first,
                 last_record=end_abs,
                 rev=chunk.rev,

@@ -1,11 +1,18 @@
 """Tests for the trace registry."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.exec.engine import execute_jobs
+from repro.exec.job import SimJob
+from repro.frontend.config import FrontendConfig
 from repro.harness.registry import (
     PAPER_COUNTS,
     TraceSpec,
+    _trace_bytes,
     clear_trace_cache,
     default_registry,
     make_trace,
@@ -14,11 +21,13 @@ from repro.harness.registry import (
     server_registry,
     trace_cache_stats,
 )
+from repro.isa.instruction import Instruction, InstrKind
 from repro.program.profiles import (
     PROFILE_STATIC_UOPS,
     SERVER_NAMES,
     SUITE_NAMES,
 )
+from repro.trace.record import DynInstr, Trace
 
 
 def test_default_counts():
@@ -93,6 +102,60 @@ def test_trace_cache_stats_count_hits_and_misses():
     assert stats.misses == 1
     assert stats.hits == 2
     clear_trace_cache()
+
+
+def test_trace_cache_bytes_count_the_memoized_views():
+    """``bytes`` covers what a cached trace holds once jobs have run on it.
+
+    The TC job builds the hot columns and the XBC job the XB stream;
+    both hang off the cached trace, so releasing it frees them too.
+    """
+    spec = registry_spec("specint", 0, 20_000)
+    clear_trace_cache()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        execute_jobs([
+            SimJob(frontend=kind, spec=spec, fe_config=FrontendConfig(),
+                   total_uops=2048)
+            for kind in ("tc", "xbc")
+        ])
+        reported = trace_cache_stats().bytes
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        clear_trace_cache()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held > 0
+    # Each shared object is counted once, so the estimate stays close.
+    assert held / 2 <= reported <= 1.5 * held, (reported, held)
+
+
+def test_trace_bytes_allocate_nothing_that_outlives_the_call():
+    """Sizing a trace leaves its objects as they were.
+
+    A fresh :class:`Instruction` has no ``__dict__`` object until
+    something reads that attribute; reading it to size the instruction
+    would add one dict per static instruction to the cache it measures.
+    """
+    trace = Trace(records=[
+        DynInstr(Instruction(ip=4 * i, size=4, kind=InstrKind.ALU,
+                             num_uops=1), False, 4 * i + 4)
+        for i in range(2_000)
+    ])
+    trace.hot_columns()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _trace_bytes(trace) > 0
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096, grown
 
 
 def test_clear_trace_cache_returns_final_stats_then_resets():

@@ -153,3 +153,12 @@ class TestCoverage:
             other = by_end.setdefault(step.end_ip, step)
             n = min(len(other.uops), len(step.uops))
             assert other.uops[-n:] == step.uops[-n:]
+
+    def test_next_ip_is_one_int_per_address(self, small_trace):
+        steps = build_xb_stream(small_trace)
+        assert [s.next_ip for s in steps] == [
+            small_trace.next_ips[s.last_record] for s in steps
+        ]
+        first = {}
+        for step in steps:
+            assert first.setdefault(step.next_ip, step.next_ip) is step.next_ip
