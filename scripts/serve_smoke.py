@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -128,6 +129,7 @@ def main() -> int:
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10.0)
+        shutil.rmtree(cache_dir, ignore_errors=True)
 
     print("[serve-smoke] PASS")
     return 0

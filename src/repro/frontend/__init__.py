@@ -1,11 +1,12 @@
 """Shared frontend machinery.
 
-Everything the three frontend models (IC, TC, XBC) have in common lives
-here: the configuration dataclass, the metrics container whose
+Everything the frontend models have in common lives here: the
+configuration dataclass, the metrics container whose
 ``uop_miss_rate`` / bandwidth properties are the paper's reported
 quantities, the instruction-cache model, the build-mode fetch/decode
-engine (the "traditional IC based frontend" at the top of Figure 6),
-and the abstract :class:`~repro.frontend.base.FrontendModel` driver.
+engine (the "traditional IC based frontend" at the top of Figure 6) in
+its structured and flat forms, and the abstract
+:class:`~repro.frontend.base.FrontendModel` driver.
 """
 
 from repro.frontend.config import FrontendConfig

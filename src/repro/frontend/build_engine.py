@@ -2,10 +2,13 @@
 
 This models the "traditional IC based frontend" in the upper half of
 the paper's Figure 6: BTB-steered fetch of aligned blocks from the
-instruction cache, decode-width-limited translation into uops.  All
-three frontend models share it — the TC and XBC run it whenever they
-are in build mode and feed its output to their fill units, while the
-baseline IC frontend runs it exclusively.
+instruction cache, decode-width-limited translation into uops.  The
+XBC and the ``_run_reference`` paths of the IC, DC, TC and BBTC run it
+in build mode (the IC in every cycle), and the uop structures feed its
+output to their fill units.  The flat paths of those four run
+:func:`~repro.frontend.flat_engine.flat_build_fetch` instead, the same
+fetch as integer math, which the differential tests hold to this class
+cycle by cycle.
 
 One call to :meth:`BuildEngine.fetch_cycle` is one build-mode cycle:
 it supplies the instructions fetched and decoded that cycle (following

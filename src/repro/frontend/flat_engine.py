@@ -1,11 +1,33 @@
-"""Packed predictor/icache state for the flat frontend hot paths.
+"""The build-mode fetch shared by the flat IC/DC/TC/BBTC hot paths.
 
-The flat rewrites of the IC/DC/TC/BBTC frontends (the PR-2 XBC
-playbook applied to the comparison models) fuse fetch, predict and
-deliver into one loop per run, with every predictor inlined as integer
-math over flat lists.  This module owns the *construction* of that
-state so all four frontends initialize identically — the loops
-themselves hoist these fields into locals and never call back in.
+Each of those frontends runs one fused ``_run_flat`` loop over the
+columnar trace arrays, with every predictor inlined as integer math
+over flat lists.  Their build mode is one engine — the BTB-steered
+i-cache fetch and decode at the top of the paper's Figure 6, which
+:class:`~repro.frontend.build_engine.BuildEngine` models structurally
+— so its flat form lives here once, as the generator
+:func:`flat_build_fetch`.  A generator keeps the BTB, the i-cache and
+the predictor state in frame locals between fetches, so sharing it
+costs one resume and one result tuple per build fetch::
+
+    fetch = flat_build_fetch(config, trace, stats)
+    fp = next(fetch)                             # the shared predictors
+    pos, uops, stall, stalled = fetch.send(pos)  # one build fetch cycle
+    fetch.send(HANDOVER)                         # publish scalars, counters
+
+``stall`` is the penalty cycles the fetch charged, already added to
+``stats.penalty_cycles`` by cause; ``stalled`` says whether one of them
+was a mispredict, i-cache miss or BTB miss, which ends a multi-ported
+IC's cycle.
+
+Delivery modes train gshare, the RSB and the indirect predictor too.
+The lists in :class:`FlatPredictors` are shared in place; the scalars
+(``g_hist``, ``r_top``, ``r_count``, ``i_hist``) change hands.
+``send(HANDOVER)`` stores the fetch's scalars in ``fp`` and its
+counters in ``stats``; a delivery loop copies the scalars into its
+locals, writes them back to ``fp`` when it switches to build, and the
+next ``send(pos)`` reloads them.  A run ends with one more
+``send(HANDOVER)`` so ``stats`` holds the build-side counters.
 
 Layouts (mirroring the packed classes in :mod:`repro.branch` and
 :mod:`repro.frontend.icache`, which remain the behavioural oracles):
@@ -23,8 +45,11 @@ Layouts (mirroring the packed classes in :mod:`repro.branch` and
 
 from __future__ import annotations
 
+from typing import Any, Generator
+
 from repro.common.bitutils import log2_exact
 from repro.frontend.config import FrontendConfig
+from repro.frontend.metrics import FrontendStats
 from repro.isa.instruction import (
     CODE_CALL,
     CODE_COND_BRANCH,
@@ -34,6 +59,7 @@ from repro.isa.instruction import (
     CODE_RETURN,
     KIND_IS_BRANCH,
 )
+from repro.trace.record import Trace
 
 # The flat loops classify branches with a single compare against the
 # first branch code instead of a table lookup; pin the code layout that
@@ -45,62 +71,279 @@ assert all(
 assert CODE_COND_BRANCH < CODE_JUMP < CODE_INDIRECT_JUMP < CODE_CALL
 assert CODE_CALL < CODE_INDIRECT_CALL < CODE_RETURN
 
+#: Sent instead of a trace position: hand the predictor scalars over.
+HANDOVER = -1
+
 
 class FlatPredictors:
-    """Initial predictor + icache state for one flat frontend run."""
+    """The predictor state build and delivery mode share in one run."""
 
     __slots__ = (
-        "g_counters", "g_imask", "g_hmask",
-        "b_tags", "b_targets", "b_stamps", "b_assoc", "b_set_mask",
-        "r_slots", "r_depth",
-        "i_tags", "i_targets", "i_imask", "i_hmask",
-        "ic_sets", "ic_set_mask", "ic_offset_bits", "ic_assoc",
+        "g_counters", "g_imask", "g_hmask", "g_hist",
+        "r_slots", "r_depth", "r_top", "r_count",
+        "i_tags", "i_targets", "i_imask", "i_hmask", "i_hist",
     )
 
+    def __init__(self, config: FrontendConfig) -> None:
+        """Build the packed state, with the oracles' validation."""
+        log2_exact(config.gshare_entries)
+        if not 0 <= config.gshare_history_bits <= 30:
+            raise ValueError(
+                f"history_bits out of range: {config.gshare_history_bits}"
+            )
+        # Counters start weakly taken, as in GsharePredictor.
+        self.g_counters = [2] * config.gshare_entries
+        self.g_imask = config.gshare_entries - 1
+        self.g_hmask = (1 << config.gshare_history_bits) - 1
 
-def make_flat_predictors(config: FrontendConfig) -> FlatPredictors:
-    """Build the packed state, with the oracles' geometry validation."""
-    p = FlatPredictors()
+        if config.rsb_depth < 1:
+            raise ValueError(f"RSB depth must be >= 1, got {config.rsb_depth}")
+        self.r_depth = config.rsb_depth
+        self.r_slots = [0] * config.rsb_depth
 
-    log2_exact(config.gshare_entries)
-    if not 0 <= config.gshare_history_bits <= 30:
-        raise ValueError(
-            f"history_bits out of range: {config.gshare_history_bits}"
-        )
-    # Counters start weakly taken, as in GsharePredictor.
-    p.g_counters = [2] * config.gshare_entries
-    p.g_imask = config.gshare_entries - 1
-    p.g_hmask = (1 << config.gshare_history_bits) - 1
+        log2_exact(config.indirect_entries)
+        self.i_tags = [-1] * config.indirect_entries
+        self.i_targets = [0] * config.indirect_entries
+        self.i_imask = config.indirect_entries - 1
+        self.i_hmask = (1 << config.indirect_history_bits) - 1
+
+        self.g_hist = self.r_top = self.r_count = self.i_hist = 0
+
+
+def flat_build_fetch(
+    config: FrontendConfig, trace: Trace, stats: FrontendStats
+) -> Generator[Any, int, None]:
+    """Build-mode fetch cycles over *trace* (oracle: BuildEngine).
+
+    Primed with ``next()``, it yields the run's :class:`FlatPredictors`;
+    each ``send(pos)`` then runs one fetch cycle from trace position
+    *pos* and yields ``(new_pos, uops, stall, stalled)``.  Fetch stops
+    at the decode-width limit, at the fetch-block boundary, or after
+    the first control transfer.  See the module docstring for
+    :data:`HANDOVER`.
+    """
+    ips, takens, next_ips, kinds, nuops, snexts = trace.hot_columns()
+    total = len(ips)
+    fp = FlatPredictors(config)
+    g_counters = fp.g_counters
+    g_imask = fp.g_imask
+    g_hmask = fp.g_hmask
+    r_slots = fp.r_slots
+    r_depth = fp.r_depth
+    i_tags = fp.i_tags
+    i_targets = fp.i_targets
+    i_imask = fp.i_imask
+    i_hmask = fp.i_hmask
+    g_hist = r_top = r_count = i_hist = 0
 
     if config.btb_entries % config.btb_assoc:
         raise ValueError(
             f"{config.btb_entries} entries not divisible by "
             f"assoc {config.btb_assoc}"
         )
-    num_sets = config.btb_entries // config.btb_assoc
-    log2_exact(num_sets)
-    p.b_assoc = config.btb_assoc
-    p.b_set_mask = num_sets - 1
-    p.b_tags = [-1] * config.btb_entries
-    p.b_targets = [0] * config.btb_entries
-    p.b_stamps = [0] * config.btb_entries
+    b_assoc = config.btb_assoc
+    b_sets = config.btb_entries // b_assoc
+    log2_exact(b_sets)
+    b_set_mask = b_sets - 1
+    b_tags = [-1] * config.btb_entries
+    b_targets = [0] * config.btb_entries
+    b_stamps = [0] * config.btb_entries
+    b_clock = 0
 
-    if config.rsb_depth < 1:
-        raise ValueError(f"RSB depth must be >= 1, got {config.rsb_depth}")
-    p.r_depth = config.rsb_depth
-    p.r_slots = [0] * config.rsb_depth
+    ic_offset = log2_exact(config.ic_line_bytes)
+    ic_assoc = config.ic_assoc
+    ic_sets_n = config.ic_size_bytes // (config.ic_line_bytes * ic_assoc)
+    log2_exact(ic_sets_n)
+    ic_sets = [{} for _ in range(ic_sets_n)]
+    ic_set_mask = ic_sets_n - 1
+    ic_clock = 0
 
-    log2_exact(config.indirect_entries)
-    p.i_tags = [-1] * config.indirect_entries
-    p.i_targets = [0] * config.indirect_entries
-    p.i_imask = config.indirect_entries - 1
-    p.i_hmask = (1 << config.indirect_history_bits) - 1
+    decode_width = config.decode_width
+    fetch_block = config.fetch_block_bytes
+    ic_lat = config.ic_miss_latency
+    misp_pen = config.mispredict_penalty
+    bubble = config.taken_branch_bubble
+    btb_pen = config.btb_miss_penalty
+    branch_floor = CODE_COND_BRANCH
+    c_ijump = CODE_INDIRECT_JUMP
+    c_call = CODE_CALL
+    c_icall = CODE_INDIRECT_CALL
+    c_ret = CODE_RETURN
 
-    line = config.ic_line_bytes
-    p.ic_offset_bits = log2_exact(line)
-    ic_sets = config.ic_size_bytes // (line * config.ic_assoc)
-    log2_exact(ic_sets)
-    p.ic_sets = [{} for _ in range(ic_sets)]
-    p.ic_set_mask = ic_sets - 1
-    p.ic_assoc = config.ic_assoc
-    return p
+    pen = stats.penalty_cycles
+    cond_pred = cond_misp = ind_pred = ind_misp = 0
+    ret_pred = ret_misp = 0
+    ic_lookups = ic_misses = 0
+
+    pos = yield fp
+    while True:
+        while pos < 0:  # HANDOVER
+            fp.g_hist = g_hist
+            fp.r_top = r_top
+            fp.r_count = r_count
+            fp.i_hist = i_hist
+            stats.cond_predictions = cond_pred
+            stats.cond_mispredicts = cond_misp
+            stats.indirect_predictions = ind_pred
+            stats.indirect_mispredicts = ind_misp
+            stats.return_predictions = ret_pred
+            stats.return_mispredicts = ret_misp
+            stats.ic_lookups = ic_lookups
+            stats.ic_misses = ic_misses
+            pos = yield None
+            g_hist = fp.g_hist
+            r_top = fp.r_top
+            r_count = fp.r_count
+            i_hist = fp.i_hist
+
+        stall = 0
+        stalled = False
+        ip = ips[pos]
+        ic_lookups += 1
+        line_addr = ip >> ic_offset
+        iset = ic_sets[line_addr & ic_set_mask]
+        ic_clock += 1
+        if line_addr in iset:
+            iset[line_addr] = ic_clock
+        else:
+            ic_misses += 1
+            if len(iset) >= ic_assoc:
+                del iset[min(iset, key=iset.get)]
+            iset[line_addr] = ic_clock
+            if ic_lat > 0:
+                stall += ic_lat
+                pen["ic_miss"] = pen.get("ic_miss", 0) + ic_lat
+                stalled = True
+        window_start = ip & ~(fetch_block - 1)
+        window_end = window_start + fetch_block
+        limit = pos + decode_width
+        if limit > total:
+            limit = total
+        uops = 0
+        while pos < limit:
+            ip = ips[pos]
+            if ip < window_start or ip >= window_end:
+                break  # sequential prefetch continues next cycle
+            uops += nuops[pos]
+            k = kinds[pos]
+            pos += 1
+            if k < branch_floor:
+                continue
+            i = pos - 1
+            if k == branch_floor:  # conditional
+                gi = ((ip >> 1) ^ g_hist) & g_imask
+                c = g_counters[gi]
+                cond_pred += 1
+                if takens[i]:
+                    if c < 3:
+                        g_counters[gi] = c + 1
+                    g_hist = ((g_hist << 1) | 1) & g_hmask
+                    mispredicted = c < 2
+                else:
+                    if c > 0:
+                        g_counters[gi] = c - 1
+                    g_hist = (g_hist << 1) & g_hmask
+                    if c < 2:
+                        continue  # correct fall-through: keep fetching
+                    mispredicted = True
+                if mispredicted:
+                    cond_misp += 1
+                    if misp_pen > 0:
+                        stall += misp_pen
+                        pen["mispredict"] = pen.get("mispredict", 0) + misp_pen
+                        stalled = True
+                    break
+                # correct taken: redirect through the BTB, below
+            elif k == c_ret:
+                ret_pred += 1
+                if r_count == 0:
+                    predicted = -1
+                else:
+                    r_top -= 1
+                    if r_top < 0:
+                        r_top = r_depth - 1
+                    r_count -= 1
+                    predicted = r_slots[r_top]
+                if predicted != next_ips[i]:
+                    ret_misp += 1
+                    if misp_pen > 0:
+                        stall += misp_pen
+                        pen["mispredict"] = pen.get("mispredict", 0) + misp_pen
+                        stalled = True
+                elif bubble > 0:
+                    stall += bubble
+                    pen["redirect"] = pen.get("redirect", 0) + bubble
+                break
+            elif k == c_ijump or k == c_icall:
+                ind_pred += 1
+                if k == c_icall:
+                    if r_count < r_depth:
+                        r_count += 1
+                    r_slots[r_top] = snexts[i]
+                    r_top += 1
+                    if r_top == r_depth:
+                        r_top = 0
+                nxt = next_ips[i]
+                ii = ((ip >> 1) ^ (i_hist << 2)) & i_imask
+                hit = i_tags[ii] == ip and i_targets[ii] == nxt
+                i_tags[ii] = ip
+                i_targets[ii] = nxt
+                mixed = (nxt ^ (nxt >> 4) ^ (nxt >> 9)) & 0xF
+                i_hist = ((i_hist << 2) ^ mixed) & i_hmask
+                if not hit:
+                    ind_misp += 1
+                    if misp_pen > 0:
+                        stall += misp_pen
+                        pen["mispredict"] = pen.get("mispredict", 0) + misp_pen
+                        stalled = True
+                elif bubble > 0:
+                    stall += bubble
+                    pen["redirect"] = pen.get("redirect", 0) + bubble
+                break
+            elif k == c_call:
+                if r_count < r_depth:
+                    r_count += 1
+                r_slots[r_top] = snexts[i]
+                r_top += 1
+                if r_top == r_depth:
+                    r_top = 0
+            # A taken direct branch (conditional, jump or call): the
+            # BTB supplies the target, or it misses and learns it.
+            tgt = next_ips[i]
+            base = ((ip >> 1) & b_set_mask) * b_assoc
+            found = -1
+            for slot in range(base, base + b_assoc):
+                if b_tags[slot] == ip:
+                    found = slot
+                    break
+            if found >= 0 and b_targets[found] == tgt:
+                b_clock += 1
+                b_stamps[found] = b_clock
+                if bubble > 0:
+                    stall += bubble
+                    pen["redirect"] = pen.get("redirect", 0) + bubble
+                break
+            if btb_pen > 0:
+                stall += btb_pen
+                pen["btb_miss"] = pen.get("btb_miss", 0) + btb_pen
+                stalled = True
+            if found >= 0:
+                # Stale target: the lookup touches the way, the
+                # install retrains it and touches it again.
+                b_clock += 2
+            else:
+                vstamp = 0
+                for slot in range(base, base + b_assoc):
+                    if b_tags[slot] == -1:
+                        found = slot
+                        break
+                    s = b_stamps[slot]
+                    if found < 0 or s < vstamp:
+                        found = slot
+                        vstamp = s
+                b_tags[found] = ip
+                b_clock += 1
+            b_targets[found] = tgt
+            b_stamps[found] = b_clock
+            break
+        pos = yield pos, uops, stall, stalled

@@ -13,12 +13,24 @@ through queue stalls only when no cycle log is requested:
 * stats-only runs exercise the closed-form stall fast-forward, and
 * ``cycle_log`` runs exercise the cycle-by-cycle path.
 
-Both must match the reference exactly.
+Both must match the reference exactly, under the default
+configuration and under a small one that churns every predictor.  The
+build fetch the four flat loops share is also stepped against
+:meth:`BuildEngine.fetch_cycle` one fetch at a time.
 """
 
 import pytest
 
+from repro.branch.btb import BranchTargetBuffer
+from repro.branch.gshare import GsharePredictor
+from repro.branch.indirect import IndirectPredictor
+from repro.branch.rsb import ReturnStackBuffer
+from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
+from repro.frontend.flat_engine import HANDOVER, flat_build_fetch
+from repro.frontend.ic_frontend import ICFrontend
+from repro.frontend.icache import InstructionCache
+from repro.frontend.metrics import FrontendStats
 from repro.harness.runner import make_frontend
 from repro.tc.config import TcConfig
 from repro.tc.frontend import TcFrontend
@@ -28,6 +40,42 @@ from repro.tc.frontend import TcFrontend
 FLAT_KINDS = ("ic", "dc", "tc", "bbtc")
 
 SUITES = ("specint", "sysmark", "games")
+
+#: A small configuration under which every predictor and the i-cache
+#: churn.  The zero bubble and zero i-cache latency make hits and
+#: misses that charge no cycles, which must then neither appear in the
+#: penalty dict nor end a multi-ported IC's cycle.
+CHURN = FrontendConfig(
+    ic_size_bytes=1024,
+    ic_assoc=2,
+    gshare_entries=256,
+    gshare_history_bits=6,
+    btb_entries=16,
+    btb_assoc=2,
+    rsb_depth=2,
+    indirect_entries=16,
+    indirect_history_bits=4,
+    taken_branch_bubble=0,
+    ic_miss_latency=0,
+)
+
+#: (kind, IC ports) of the churning cases: the four flat kinds, plus
+#: the IC at two and three ports, whose cycles end on a stalled fetch.
+CHURN_VARIANTS = (
+    ("ic", 1), ("ic", 2), ("ic", 3), ("dc", 1), ("tc", 1), ("bbtc", 1)
+)
+
+#: Build-fetch counters, shared by the flat fetch and BuildEngine.
+FETCH_COUNTERS = (
+    "ic_lookups",
+    "ic_misses",
+    "cond_predictions",
+    "cond_mispredicts",
+    "indirect_predictions",
+    "indirect_mispredicts",
+    "return_predictions",
+    "return_mispredicts",
+)
 
 
 def _run(kind, trace, reference, cycle_log=None):
@@ -58,6 +106,78 @@ class TestFlatMatchesReference:
         assert sum(flat_log) == trace.total_uops
 
 
+@pytest.mark.parametrize("size", (512, 8192))
+@pytest.mark.parametrize("kind, ports", CHURN_VARIANTS)
+@pytest.mark.parametrize("suite", SUITES)
+def test_churning_config_identical(kind, ports, size, suite, suite_traces):
+    """Under churning predictors, stats and cycle logs stay identical."""
+
+    def build():
+        if kind == "ic":
+            return ICFrontend(CHURN, ports=ports)
+        return make_frontend(kind, CHURN, total_uops=size)
+
+    trace = suite_traces[suite]
+    assert build().run(trace) == build()._run_reference(trace)
+    flat_log, ref_log = [], []
+    flat = build().run(trace, cycle_log=flat_log)
+    ref = build()._run_reference(trace, cycle_log=ref_log)
+    assert flat == ref
+    assert flat_log == ref_log
+
+
+@pytest.mark.parametrize(
+    "config", (FrontendConfig(), CHURN), ids=("default", "churn")
+)
+@pytest.mark.parametrize("suite", SUITES)
+def test_shared_fetch_matches_build_engine(config, suite, suite_traces):
+    """Each flat build fetch equals one ``BuildEngine.fetch_cycle``.
+
+    Both step the whole trace from the same positions; after every call
+    the position, uops, penalties and counters must agree, and the
+    fetch reports ``stalled`` exactly when the cycle charged a
+    mispredict, i-cache miss or BTB miss, as ``ICFrontend`` decides it.
+    A handover after every fetch publishes the counters and round-trips
+    the predictor scalars through the shared state.
+    """
+    trace = suite_traces[suite]
+    ref_stats = FrontendStats()
+    engine = BuildEngine(
+        config=config,
+        stats=ref_stats,
+        icache=InstructionCache(
+            config.ic_size_bytes, config.ic_line_bytes, config.ic_assoc
+        ),
+        cond_predictor=GsharePredictor(
+            config.gshare_history_bits, config.gshare_entries
+        ),
+        btb=BranchTargetBuffer(config.btb_entries, config.btb_assoc),
+        rsb=ReturnStackBuffer(config.rsb_depth),
+        indirect=IndirectPredictor(
+            config.indirect_entries, config.indirect_history_bits
+        ),
+    )
+    stats = FrontendStats()
+    fetch = flat_build_fetch(config, trace, stats)
+    next(fetch)
+    ref_penalties = {}
+    pos = 0
+    while pos < len(trace):
+        ref_pos, cycle = engine.fetch_cycle(trace, pos)
+        pos, uops, stall, stalled = fetch.send(pos)
+        assert (pos, uops, stall) == (ref_pos, cycle.uops, cycle.stall_cycles)
+        assert stalled == any(
+            cause in cycle.penalties
+            for cause in ("mispredict", "ic_miss", "btb_miss")
+        )
+        for cause, cycles in cycle.penalties.items():
+            ref_penalties[cause] = ref_penalties.get(cause, 0) + cycles
+        assert fetch.send(HANDOVER) is None
+        assert stats.penalty_cycles == ref_penalties
+        for name in FETCH_COUNTERS:
+            assert getattr(stats, name) == getattr(ref_stats, name), name
+
+
 class TestDispatch:
     @pytest.mark.parametrize("kind", FLAT_KINDS)
     def test_run_never_calls_reference(self, kind, monkeypatch, small_trace):
@@ -76,8 +196,9 @@ class TestDispatch:
         """Path-associative TC always routes to the reference model.
 
         The flat TC loop only implements the default single-path
-        lookup; the path-associative variant (Figure 10's sweep) must
-        keep working through the original implementation.
+        lookup; the path-associative variant (the extension ablation in
+        ``benchmarks/test_ablations.py``) must keep working through the
+        original implementation.
         """
         frontend = TcFrontend(
             FrontendConfig(), TcConfig(path_associativity=True)
