@@ -35,6 +35,7 @@ from repro.exec.engine import ExecPolicy
 from repro.frontend.config import FrontendConfig
 from repro.harness.registry import (
     default_registry,
+    hold_traces,
     make_trace,
     registry_spec,
     trace_cache_stats,
@@ -71,12 +72,15 @@ def _run_all(args) -> None:
     specs = _registry(args)
     policy = _policy(args)
 
-    fig1 = run_fig1(specs, policy=policy)
-    fig8 = run_fig8(specs, policy=policy)
-    fig9 = run_fig9(specs, policy=policy)
-    fig10 = run_fig10(specs, policy=policy)
-    claims = run_claims(specs, fig9=fig9)
-    ablations = run_ablations(specs, policy=policy)
+    # Every sweep reads the same traces: hold them for the whole command
+    # so each is built (and stored) once, not once per sweep.
+    with hold_traces(specs):
+        fig1 = run_fig1(specs, policy=policy)
+        fig8 = run_fig8(specs, policy=policy)
+        fig9 = run_fig9(specs, policy=policy)
+        fig10 = run_fig10(specs, policy=policy)
+        claims = run_claims(specs, fig9=fig9)
+        ablations = run_ablations(specs, policy=policy)
 
     artifacts = [
         ("fig1", format_fig1(fig1), results.fig1_table(fig1)),

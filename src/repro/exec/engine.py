@@ -535,7 +535,45 @@ def execute_jobs(
 ) -> List[JobResult]:
     """One-shot convenience: run *jobs* on a fresh engine.
 
+    The jobs run grouped by the trace spec they read (``job.spec``;
+    jobs without one form a group of their own), the groups in order of
+    first appearance; results still come back in submission order.
+    Once a group's last job ends, its trace leaves this process's trace
+    cache (:func:`repro.harness.registry.release_trace`), so a serial
+    sweep holds one trace at a time however many it averages over.
+    Only traces this call loaded are released, and never the last
+    group's: a trace cached before the call stays, and a single-trace
+    call leaves its trace cached.  Pool workers keep what they load
+    until their pool shuts down.
+
     With ``policy=None`` this is a plain serial, uncached loop — the
     safe default for library callers and tests.
     """
-    return ExecutionEngine(policy).run(jobs, label=label)
+    from repro.harness import registry  # circular at module level
+
+    groups: Dict[Any, List[int]] = {}
+    for index, job in enumerate(jobs):
+        groups.setdefault(getattr(job, "spec", None), []).append(index)
+    order = [index for members in groups.values() for index in members]
+    spec_at = [spec for spec, members in groups.items() for _ in members]
+    releasable = {
+        spec for spec in list(groups)[:-1]
+        if spec is not None and not registry.is_trace_cached(spec)
+    }
+    unfinished = dict.fromkeys(groups, 0)
+
+    def release_finished(event: Dict[str, Any]) -> None:
+        spec = spec_at[event["index"]]
+        if event["event"] == "running":
+            unfinished[spec] += 1
+        elif event["event"] in ("done", "failed"):
+            unfinished[spec] -= 1
+            if not unfinished[spec] and spec in releasable:
+                registry.release_trace(spec)
+
+    ran = ExecutionEngine(policy).run(
+        [jobs[index] for index in order], label=label,
+        observer=release_finished,
+    )
+    by_index = dict(zip(order, ran))
+    return [by_index[index] for index in range(len(jobs))]

@@ -11,7 +11,10 @@ future experiment kinds) can add job types freely:
 - ``encode_result(result)`` / ``decode_result(payload)`` — convert the
   result to/from plain JSON data (must round-trip exactly, since both
   worker returns and cache hits travel through this encoding);
-- ``describe()`` — compact parameter dict for the run manifest.
+- ``describe()`` — compact parameter dict for the run manifest;
+- ``spec`` (optional attribute) — the trace spec ``execute()`` reads;
+  :func:`repro.exec.engine.execute_jobs` groups jobs by it and
+  releases each trace once its group is done.
 
 :class:`SimJob` covers every figure/claims/ablation/sweep point (one
 frontend, one trace spec, one config); :class:`BlockStatsJob` covers

@@ -13,8 +13,9 @@ budget.  The default *scaled* registry uses 3 traces per suite and
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.common.errors import ConfigError
 from repro.isa.instruction import Instruction
@@ -194,6 +195,10 @@ def default_registry(
 
 _TRACE_CACHE: Dict[TraceSpec, Trace] = {}
 
+#: Specs whose traces :func:`release_trace` leaves cached (see
+#: :func:`hold_traces`).
+_HELD: Set[TraceSpec] = set()
+
 #: Optional persistent store (see :class:`repro.exec.cache.TraceStore`).
 #: Anything with ``load(spec) -> Optional[Trace]`` and
 #: ``store(spec, trace)`` works; the execution engine installs one when
@@ -236,9 +241,9 @@ def make_trace(spec: TraceSpec) -> Trace:
 
     Trace generation is deterministic, so caching is purely a speed
     optimization.  Lookups go through two layers: the in-process dict
-    (shared by the experiments of one process) and, when installed via
-    :func:`set_trace_store`, a persistent content-addressed store
-    shared across processes and runs.
+    (which keeps a trace until :func:`release_trace` takes it out) and,
+    when installed via :func:`set_trace_store`, a persistent
+    content-addressed store shared across processes and runs.
     """
     global _CACHE_HITS, _CACHE_MISSES
     cached = _TRACE_CACHE.get(spec)
@@ -316,15 +321,41 @@ def trace_cache_stats() -> TraceCacheStats:
     )
 
 
+def is_trace_cached(spec: TraceSpec) -> bool:
+    """Whether the in-process cache holds *spec*'s trace (no hit counted)."""
+    return spec in _TRACE_CACHE
+
+
 def release_trace(spec: TraceSpec) -> Optional[Trace]:
     """Take *spec*'s trace out of the in-process cache.
 
     Returns the trace when it was cached, else ``None``; the hit/miss
     counters are left alone.  For callers that know nothing will read
-    the trace again: a fuzz evaluation releases its candidate's trace
-    so memory stays flat in the search budget.
+    the trace again: a fuzz evaluation releases its candidate's trace,
+    and :func:`repro.exec.engine.execute_jobs` each trace it loaded
+    once the run moves past it, so memory stays flat in the number of
+    traces.  A spec under :func:`hold_traces` stays cached; its trace
+    is still returned.
     """
+    if spec in _HELD:
+        return _TRACE_CACHE.get(spec)
     return _TRACE_CACHE.pop(spec, None)
+
+
+@contextmanager
+def hold_traces(specs: Iterable[TraceSpec]) -> Iterator[None]:
+    """Keep *specs*' traces cached through :func:`release_trace` calls.
+
+    For a command that runs several sweeps over one registry (``repro
+    all``): each sweep would otherwise release the traces it loaded,
+    and the next sweep would load or build them again.
+    """
+    added = set(specs) - _HELD
+    _HELD.update(added)
+    try:
+        yield
+    finally:
+        _HELD.difference_update(added)
 
 
 def clear_trace_cache() -> TraceCacheStats:

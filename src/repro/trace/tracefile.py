@@ -174,7 +174,7 @@ def save_trace_binary(trace: Trace, path: str) -> None:
     )
     with open(path, "wb") as stream:
         stream.write(_MAGIC_V2)
-        stream.write(zlib.compress(blob, 6))
+        stream.write(zlib.compress(blob, 1))
 
 
 def _load_trace_v2(compressed: bytes) -> Trace:

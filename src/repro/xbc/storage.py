@@ -105,7 +105,9 @@ class XbcStorage:
         self._probes: List[Dict[tuple, Optional[Dict[int, Slot]]]] = [
             {} for _ in range(self.num_sets)
         ]
-        self._deferrals: Dict[Tuple[int, int], int] = {}
+        #: bank-conflict deferrals per XB, keyed on its end-IP (which
+        #: also names its set).
+        self._deferrals: Dict[int, int] = {}
         #: exact ``{order: (bank, way)}`` placement of the last
         #: successful insert/extend/add_variant — the fill unit records
         #: it into the variant (the "way select" the paper's same-bank
@@ -722,12 +724,11 @@ class XbcStorage:
         Returns True when the configured threshold is crossed (the
         counter resets), signalling the frontend to relocate.
         """
-        key = (self.index_of(xb_ip), xb_ip)
-        count = self._deferrals.get(key, 0) + 1
+        count = self._deferrals.get(xb_ip, 0) + 1
         if count >= self.config.conflict_move_threshold:
-            self._deferrals[key] = 0
+            self._deferrals[xb_ip] = 0
             return True
-        self._deferrals[key] = count
+        self._deferrals[xb_ip] = count
         return False
 
     def relocate_line(
