@@ -10,8 +10,11 @@ real subprocess:
    completion;
 4. submit the identical request again and require a coalesced/memoized
    answer with a byte-identical result;
-5. check ``/metrics`` counters reflect exactly one engine execution;
-6. SIGTERM the server and require a graceful drain with exit code 0.
+5. submit a request for a structure geometry that cannot exist and
+   require a 400 that names the field;
+6. check ``/metrics`` counters reflect exactly one submitted job and
+   one engine execution;
+7. SIGTERM the server and require a graceful drain with exit code 0.
 
 Exits non-zero (with a message) on the first violated expectation.
 Run from the repository root: ``python scripts/serve_smoke.py``.
@@ -34,10 +37,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
 sys.path.insert(0, SRC_DIR)
 
-from repro.serve.client import ServeClient  # noqa: E402
+from repro.serve.client import ServeClient, ServeError  # noqa: E402
 
 REQUEST = {"kind": "sim", "frontend": "xbc", "suite": "specint",
            "index": 0, "length": 25_000, "total_uops": 2048}
+#: A 1000-uop trace cache is no whole number of 16-uop 4-way sets.
+BAD_GEOMETRY = {**REQUEST, "frontend": "tc", "total_uops": 1000}
 
 
 def fail(message: str) -> None:
@@ -110,6 +115,15 @@ def main() -> int:
               f"repeat submission coalesces ({again['disposition']})")
         repeat = json.dumps(client.job(job_id)["result"], sort_keys=True)
         check(repeat == first_result, "repeat result is byte-identical")
+
+        try:
+            client.submit(BAD_GEOMETRY)
+            rejection = None
+        except ServeError as exc:
+            rejection = exc
+        check(rejection is not None and rejection.status == 400
+              and "total_uops" in str(rejection),
+              f"impossible geometry is a 400 naming the field ({rejection})")
 
         metrics = client.metrics()
         check(metrics["jobs"]["submitted"] == 1,

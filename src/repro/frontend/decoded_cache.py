@@ -15,13 +15,16 @@ reproducing both fragmentation effects the paper describes.
 
 Two implementations share this class: ``_run_flat`` (default) is one
 fused loop over the columnar trace arrays with tuple-payload lines:
-delivery mode trains the predictors inline, build mode resumes the
-shared flat build fetch
-(:func:`~repro.frontend.flat_engine.flat_build_fetch`), and queue
-stalls are fast-forwarded XBC-style;
+build fetches and line walks are both commands to the flat engine
+(:func:`~repro.frontend.flat_engine.flat_build_fetch`), which owns
+the run's predictors, and queue stalls are fast-forwarded XBC-style;
 ``_run_reference`` is the original object-per-cycle code, kept as the
 behavioural oracle the differential tests compare against.  Both
-produce bit-identical :class:`FrontendStats`.
+produce bit-identical :class:`FrontendStats`.  The flat lines record
+each instruction's direction, so the one walk that serves the TC and
+BBTC serves the DC too: the oracle's stop at every control transfer
+only ever falls on a line's last entry, because the fill closes a line
+right after any transfer but a not-taken conditional.
 """
 
 from __future__ import annotations
@@ -38,18 +41,10 @@ from repro.common.errors import ConfigError
 from repro.frontend.base import FrontendModel, UopFlow
 from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
-from repro.frontend.flat_engine import HANDOVER, flat_build_fetch
+from repro.frontend.flat_engine import PUBLISH, flat_build_fetch
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
-from repro.isa.instruction import (
-    CODE_CALL,
-    CODE_COND_BRANCH,
-    CODE_INDIRECT_CALL,
-    CODE_JUMP,
-    CODE_RETURN,
-    Instruction,
-    InstrKind,
-)
+from repro.isa.instruction import CODE_COND_BRANCH, Instruction, InstrKind
 from repro.trace.record import Trace
 
 
@@ -119,28 +114,17 @@ class DecodedCacheFrontend(FrontendModel):
     ) -> FrontendStats:
         config = self.config
         dc = self.dc_config
-        ips, takens, next_ips, kinds, nuops, snexts = trace.hot_columns()
+        ips, takens, _, kinds, nuops, snexts = trace.hot_columns()
         total = len(ips)
         stats = FrontendStats(frontend=self.name, trace_name=trace.name)
         fetch = flat_build_fetch(config, trace, stats)
-        fp = next(fetch)
-
-        # delivery-mode predictors, hoisted; the scalars change hands
-        # with the build fetch at every mode switch
-        g_counters = fp.g_counters
-        g_imask = fp.g_imask
-        g_hmask = fp.g_hmask
-        r_slots = fp.r_slots
-        r_depth = fp.r_depth
-        i_tags = fp.i_tags
-        i_targets = fp.i_targets
-        i_imask = fp.i_imask
-        i_hmask = fp.i_hmask
-        g_hist = r_top = r_count = i_hist = 0
+        next(fetch)
+        send = fetch.send
 
         # line store: set -> {start_ip: (entries, uops, stamp)} with
-        # entry = (ip, kind, nuops, snext); static fields are functions
-        # of ip, so the anchor-keyed bucket probe is the whole lookup.
+        # entry = (ip, taken, kind, nuops, snext); static fields are
+        # functions of ip, so the anchor-keyed bucket probe is the
+        # whole lookup.
         sets: List[Dict[int, tuple]] = [{} for _ in range(dc.num_sets)]
         set_mask = dc.num_sets - 1
         dc_assoc = dc.assoc
@@ -150,14 +134,9 @@ class DecodedCacheFrontend(FrontendModel):
         # config scalars
         width = config.renamer_width
         depth = config.uop_queue_depth
-        misp_pen = config.mispredict_penalty
         mode_pen = config.mode_switch_penalty
         max_build = 4 * config.decode_width
         branch_floor = CODE_COND_BRANCH
-        c_jump = CODE_JUMP
-        c_call = CODE_CALL
-        c_icall = CODE_INDIRECT_CALL
-        c_ret = CODE_RETURN
 
         # counters
         cycles = 0
@@ -171,12 +150,10 @@ class DecodedCacheFrontend(FrontendModel):
         s_lookups = s_hits = 0
         blocks_built = 0
         sw_deliver = sw_build = 0
-        cond_pred = cond_misp = ind_pred = ind_misp = 0
-        ret_pred = ret_misp = 0
         pen = stats.penalty_cycles
         pos = 0
         delivery = False
-        pending: list = []          # [(ip, kind, nu, snext), ...]
+        pending: list = []          # [(ip, taken, kind, nu, snext), ...]
         pending_uops = 0
         pending_next_ip = -1
         logging = cycle_log is not None
@@ -227,9 +204,6 @@ class DecodedCacheFrontend(FrontendModel):
                 entry = bucket.get(ip0)
                 if entry is None:
                     delivery = False
-                    fp.g_hist, fp.r_top, fp.r_count, fp.i_hist = (
-                        g_hist, r_top, r_count, i_hist
-                    )
                     sw_build += 1
                     if mode_pen > 0:
                         cycles += mode_pen
@@ -241,99 +215,8 @@ class DecodedCacheFrontend(FrontendModel):
                 bucket[ip0] = (entry[0], entry[1], clock)
                 s_hits += 1
                 fetch_cycles_s += 1
-                # ---- consume the line against the actual path ----
-                uops = 0
-                for ip, k, nu, snext in entry[0]:
-                    if pos >= total or ips[pos] != ip:
-                        break
-                    i = pos
-                    pos += 1
-                    uops += nu
-                    if k < branch_floor:
-                        continue
-                    if k == branch_floor:  # conditional
-                        tk = takens[i]
-                        cond_pred += 1
-                        gi = ((ip >> 1) ^ g_hist) & g_imask
-                        c = g_counters[gi]
-                        if tk:
-                            if c < 3:
-                                g_counters[gi] = c + 1
-                            g_hist = ((g_hist << 1) | 1) & g_hmask
-                            if c < 2:
-                                cond_misp += 1
-                                if misp_pen > 0:
-                                    cycles += misp_pen
-                                    pen["mispredict"] = (
-                                        pen.get("mispredict", 0) + misp_pen
-                                    )
-                                break
-                            break  # taken branch ends the fetch run
-                        else:
-                            if c > 0:
-                                g_counters[gi] = c - 1
-                            g_hist = (g_hist << 1) & g_hmask
-                            if c >= 2:
-                                cond_misp += 1
-                                if misp_pen > 0:
-                                    cycles += misp_pen
-                                    pen["mispredict"] = (
-                                        pen.get("mispredict", 0) + misp_pen
-                                    )
-                                break
-                            # correct fall-through: keep delivering
-                    elif k == c_call:
-                        if r_count < r_depth:
-                            r_count += 1
-                        r_slots[r_top] = snext
-                        r_top += 1
-                        if r_top == r_depth:
-                            r_top = 0
-                        break
-                    elif k == c_ret:
-                        ret_pred += 1
-                        if r_count == 0:
-                            predicted = -1
-                        else:
-                            r_top -= 1
-                            if r_top < 0:
-                                r_top = r_depth - 1
-                            r_count -= 1
-                            predicted = r_slots[r_top]
-                        if predicted != next_ips[i]:
-                            ret_misp += 1
-                            if misp_pen > 0:
-                                cycles += misp_pen
-                                pen["mispredict"] = (
-                                    pen.get("mispredict", 0) + misp_pen
-                                )
-                        break
-                    elif k == c_jump:
-                        break
-                    else:  # indirect jump / indirect call
-                        if k == c_icall:
-                            if r_count < r_depth:
-                                r_count += 1
-                            r_slots[r_top] = snext
-                            r_top += 1
-                            if r_top == r_depth:
-                                r_top = 0
-                        ind_pred += 1
-                        nxt = next_ips[i]
-                        ii = ((ip >> 1) ^ (i_hist << 2)) & i_imask
-                        hit = i_tags[ii] == ip and i_targets[ii] == nxt
-                        i_tags[ii] = ip
-                        i_targets[ii] = nxt
-                        mixed = (nxt ^ (nxt >> 4) ^ (nxt >> 9)) & 0xF
-                        i_hist = ((i_hist << 2) ^ mixed) & i_hmask
-                        if not hit:
-                            ind_misp += 1
-                            if misp_pen > 0:
-                                cycles += misp_pen
-                                pen["mispredict"] = (
-                                    pen.get("mispredict", 0) + misp_pen
-                                )
-                        break
+                pos, uops, stall, _ = send((pos, entry[0]))
+                cycles += stall
                 from_structure += uops
                 occ += uops
                 if logging:
@@ -353,7 +236,7 @@ class DecodedCacheFrontend(FrontendModel):
                         build_cycles += extra
                     continue
                 start = pos
-                pos, cuops, stall, _ = fetch.send(pos)
+                pos, cuops, stall, _ = send(pos)
                 cycles += stall
                 from_ic += cuops
                 occ += cuops
@@ -370,14 +253,15 @@ class DecodedCacheFrontend(FrontendModel):
                         or pending_uops + nu > line_quota
                     ):
                         closed |= close_pending()
-                    pending.append((ip, kinds[i], nu, snexts[i]))
+                    k = kinds[i]
+                    tk = takens[i]
+                    pending.append((ip, tk, k, nu, snexts[i]))
                     pending_uops += nu
                     pending_next_ip = snexts[i]
                     # Lines hold statically consecutive instructions, so
                     # any single-target-or-better break ends them; a
                     # conditional's fallthrough may continue in-line.
-                    k = kinds[i]
-                    ends = k >= branch_floor and (k != branch_floor or takens[i])
+                    ends = k >= branch_floor and (k != branch_floor or tk)
                     if ends or pending_uops >= line_quota:
                         closed |= close_pending()
                 if closed and pos < total:
@@ -388,10 +272,6 @@ class DecodedCacheFrontend(FrontendModel):
                         clock += 1
                         bucket[ip0] = (entry[0], entry[1], clock)
                         delivery = True
-                        fetch.send(HANDOVER)
-                        g_hist, r_top, r_count, i_hist = (
-                            fp.g_hist, fp.r_top, fp.r_count, fp.i_hist
-                        )
                         pending = []
                         pending_uops = 0
                         sw_deliver += 1
@@ -404,7 +284,7 @@ class DecodedCacheFrontend(FrontendModel):
             cycles += (occ + width - 1) // width
             retired += occ
 
-        fetch.send(HANDOVER)  # the build-side counters into stats
+        send(PUBLISH)  # the predictor and i-cache counters into stats
         stats.cycles = cycles
         stats.build_cycles = build_cycles
         stats.delivery_cycles = delivery_cycles
@@ -417,12 +297,6 @@ class DecodedCacheFrontend(FrontendModel):
         stats.blocks_built = blocks_built
         stats.switches_to_delivery = sw_deliver
         stats.switches_to_build = sw_build
-        stats.cond_predictions += cond_pred
-        stats.cond_mispredicts += cond_misp
-        stats.indirect_predictions += ind_pred
-        stats.indirect_mispredicts += ind_misp
-        stats.return_predictions += ret_pred
-        stats.return_mispredicts += ret_misp
         stats.extra["dc_resident_lines"] = sum(len(b) for b in sets)
         stats.verify_conservation(trace.total_uops)
         return stats

@@ -1,33 +1,44 @@
-"""The build-mode fetch shared by the flat IC/DC/TC/BBTC hot paths.
+"""The predictors and fetch paths of the flat IC/DC/TC/BBTC hot paths.
 
 Each of those frontends runs one fused ``_run_flat`` loop over the
-columnar trace arrays, with every predictor inlined as integer math
-over flat lists.  Their build mode is one engine — the BTB-steered
-i-cache fetch and decode at the top of the paper's Figure 6, which
-:class:`~repro.frontend.build_engine.BuildEngine` models structurally
-— so its flat form lives here once, as the generator
-:func:`flat_build_fetch`.  A generator keeps the BTB, the i-cache and
-the predictor state in frame locals between fetches, so sharing it
-costs one resume and one result tuple per build fetch::
+columnar trace arrays.  In the paper's Figure 6 one set of predictors
+serves both modes, and each branch trains it once, whether its uops
+came from the IC or from the uop structure.  The generator
+:func:`flat_build_fetch` is the one owner of that state in a flat run:
+gshare, the RSB and the indirect table, plus the BTB and the i-cache
+only build mode uses, all kept in frame locals between commands.  A
+frontend drives it with three commands, one resume each::
 
     fetch = flat_build_fetch(config, trace, stats)
-    fp = next(fetch)                             # the shared predictors
-    pos, uops, stall, stalled = fetch.send(pos)  # one build fetch cycle
-    fetch.send(HANDOVER)                         # publish scalars, counters
+    next(fetch)                                   # prime
+    send = fetch.send
+    pos, uops, stall, stalled = send(pos)         # one build fetch cycle
+    pos, uops, stall, complete = send((pos, entries))  # one delivery walk
+    send(PUBLISH)                                 # counters into stats
 
-``stall`` is the penalty cycles the fetch charged, already added to
-``stats.penalty_cycles`` by cause; ``stalled`` says whether one of them
-was a mispredict, i-cache miss or BTB miss, which ends a multi-ported
-IC's cycle.
+A build fetch is the BTB-steered i-cache fetch and decode at the top
+of Figure 6, which :class:`~repro.frontend.build_engine.BuildEngine`
+models structurally.  ``stall`` is the penalty cycles it charged,
+already added to ``stats.penalty_cycles`` by cause; ``stalled`` says
+whether one of them was a mispredict, i-cache miss or BTB miss, which
+ends a multi-ported IC's cycle.
 
-Delivery modes train gshare, the RSB and the indirect predictor too.
-The lists in :class:`FlatPredictors` are shared in place; the scalars
-(``g_hist``, ``r_top``, ``r_count``, ``i_hist``) change hands.
-``send(HANDOVER)`` stores the fetch's scalars in ``fp`` and its
-counters in ``stats``; a delivery loop copies the scalars into its
-locals, writes them back to ``fp`` when it switches to build, and the
-next ``send(pos)`` reloads them.  A run ends with one more
-``send(HANDOVER)`` so ``stats`` holds the build-side counters.
+A delivery walk follows *entries*, one stored DC or TC line or one
+BBTC block as a tuple of ``(ip, taken, kind, nuops, snext)`` recorded
+at fill time, against the actual path from *pos*.  It trains gshare,
+the RSB and the indirect table on each branch it passes and stops at
+the first entry the path does not reach, at a mispredicted
+conditional, or at a conditional whose recorded direction differs from
+the actual one (a partial hit).  ``stall`` is the mispredict penalty it
+charged, as above; ``complete`` says whether it passed every entry.
+The DC's oracle stops at every control transfer instead, which comes
+to the same thing: the DC fill closes a line right after any control
+transfer other than a not-taken conditional, so such a transfer is
+always a line's last entry, where stopping and running off the end
+agree.
+
+``send(PUBLISH)`` stores the prediction counters of both modes and the
+i-cache counters in ``stats``; a run ends with it.
 
 Layouts (mirroring the packed classes in :mod:`repro.branch` and
 :mod:`repro.frontend.icache`, which remain the behavioural oracles):
@@ -71,69 +82,47 @@ assert all(
 assert CODE_COND_BRANCH < CODE_JUMP < CODE_INDIRECT_JUMP < CODE_CALL
 assert CODE_CALL < CODE_INDIRECT_CALL < CODE_RETURN
 
-#: Sent instead of a trace position: hand the predictor scalars over.
-HANDOVER = -1
-
-
-class FlatPredictors:
-    """The predictor state build and delivery mode share in one run."""
-
-    __slots__ = (
-        "g_counters", "g_imask", "g_hmask", "g_hist",
-        "r_slots", "r_depth", "r_top", "r_count",
-        "i_tags", "i_targets", "i_imask", "i_hmask", "i_hist",
-    )
-
-    def __init__(self, config: FrontendConfig) -> None:
-        """Build the packed state, with the oracles' validation."""
-        log2_exact(config.gshare_entries)
-        if not 0 <= config.gshare_history_bits <= 30:
-            raise ValueError(
-                f"history_bits out of range: {config.gshare_history_bits}"
-            )
-        # Counters start weakly taken, as in GsharePredictor.
-        self.g_counters = [2] * config.gshare_entries
-        self.g_imask = config.gshare_entries - 1
-        self.g_hmask = (1 << config.gshare_history_bits) - 1
-
-        if config.rsb_depth < 1:
-            raise ValueError(f"RSB depth must be >= 1, got {config.rsb_depth}")
-        self.r_depth = config.rsb_depth
-        self.r_slots = [0] * config.rsb_depth
-
-        log2_exact(config.indirect_entries)
-        self.i_tags = [-1] * config.indirect_entries
-        self.i_targets = [0] * config.indirect_entries
-        self.i_imask = config.indirect_entries - 1
-        self.i_hmask = (1 << config.indirect_history_bits) - 1
-
-        self.g_hist = self.r_top = self.r_count = self.i_hist = 0
+#: Sent instead of a trace position: store the counters in ``stats``.
+PUBLISH = -1
 
 
 def flat_build_fetch(
     config: FrontendConfig, trace: Trace, stats: FrontendStats
-) -> Generator[Any, int, None]:
-    """Build-mode fetch cycles over *trace* (oracle: BuildEngine).
+) -> Generator[Any, Any, None]:
+    """Build fetches and delivery walks over *trace* (oracles:
+    BuildEngine and the frontends' ``_consume_*`` methods).
 
-    Primed with ``next()``, it yields the run's :class:`FlatPredictors`;
-    each ``send(pos)`` then runs one fetch cycle from trace position
-    *pos* and yields ``(new_pos, uops, stall, stalled)``.  Fetch stops
-    at the decode-width limit, at the fetch-block boundary, or after
-    the first control transfer.  See the module docstring for
-    :data:`HANDOVER`.
+    Primed with ``next()``; then each ``send(pos)`` runs one fetch
+    cycle from trace position *pos* and yields ``(new_pos, uops, stall,
+    stalled)``.  Fetch stops at the decode-width limit, at the
+    fetch-block boundary, or after the first control transfer.  Each
+    ``send((pos, entries))`` walks one stored line or block and yields
+    ``(new_pos, uops, stall, complete)``.  See the module docstring,
+    also for :data:`PUBLISH`.
     """
     ips, takens, next_ips, kinds, nuops, snexts = trace.hot_columns()
     total = len(ips)
-    fp = FlatPredictors(config)
-    g_counters = fp.g_counters
-    g_imask = fp.g_imask
-    g_hmask = fp.g_hmask
-    r_slots = fp.r_slots
-    r_depth = fp.r_depth
-    i_tags = fp.i_tags
-    i_targets = fp.i_targets
-    i_imask = fp.i_imask
-    i_hmask = fp.i_hmask
+
+    log2_exact(config.gshare_entries)
+    if not 0 <= config.gshare_history_bits <= 30:
+        raise ValueError(
+            f"history_bits out of range: {config.gshare_history_bits}"
+        )
+    # Counters start weakly taken, as in GsharePredictor.
+    g_counters = [2] * config.gshare_entries
+    g_imask = config.gshare_entries - 1
+    g_hmask = (1 << config.gshare_history_bits) - 1
+
+    if config.rsb_depth < 1:
+        raise ValueError(f"RSB depth must be >= 1, got {config.rsb_depth}")
+    r_depth = config.rsb_depth
+    r_slots = [0] * r_depth
+
+    log2_exact(config.indirect_entries)
+    i_tags = [-1] * config.indirect_entries
+    i_targets = [0] * config.indirect_entries
+    i_imask = config.indirect_entries - 1
+    i_hmask = (1 << config.indirect_history_bits) - 1
     g_hist = r_top = r_count = i_hist = 0
 
     if config.btb_entries % config.btb_assoc:
@@ -175,13 +164,101 @@ def flat_build_fetch(
     ret_pred = ret_misp = 0
     ic_lookups = ic_misses = 0
 
-    pos = yield fp
+    cmd = yield
     while True:
-        while pos < 0:  # HANDOVER
-            fp.g_hist = g_hist
-            fp.r_top = r_top
-            fp.r_count = r_count
-            fp.i_hist = i_hist
+        if cmd.__class__ is tuple:
+            # ---- delivery walk of one stored line or block ----
+            pos, entries = cmd
+            uops = stall = 0
+            complete = False
+            for ip, rec_taken, k, nu, snext in entries:
+                if pos >= total or ips[pos] != ip:
+                    break  # stale contents, or the trace ended
+                i = pos
+                pos += 1
+                uops += nu
+                if k < branch_floor:
+                    continue
+                if k == branch_floor:  # conditional
+                    gi = ((ip >> 1) ^ g_hist) & g_imask
+                    c = g_counters[gi]
+                    cond_pred += 1
+                    if takens[i]:
+                        if c < 3:
+                            g_counters[gi] = c + 1
+                        g_hist = ((g_hist << 1) | 1) & g_hmask
+                        if c >= 2:  # predicted taken
+                            if rec_taken:
+                                continue
+                            break  # partial hit: recorded path falls through
+                    else:
+                        if c > 0:
+                            g_counters[gi] = c - 1
+                        g_hist = (g_hist << 1) & g_hmask
+                        if c < 2:  # predicted not taken
+                            if not rec_taken:
+                                continue
+                            break  # partial hit: recorded path is taken
+                    cond_misp += 1
+                    if misp_pen > 0:
+                        stall += misp_pen
+                        pen["mispredict"] = pen.get("mispredict", 0) + misp_pen
+                    break
+                elif k == c_call:
+                    if r_count < r_depth:
+                        r_count += 1
+                    r_slots[r_top] = snext
+                    r_top += 1
+                    if r_top == r_depth:
+                        r_top = 0
+                elif k == c_ret:
+                    ret_pred += 1
+                    if r_count == 0:
+                        predicted = -1
+                    else:
+                        r_top -= 1
+                        if r_top < 0:
+                            r_top = r_depth - 1
+                        r_count -= 1
+                        predicted = r_slots[r_top]
+                    if predicted != next_ips[i]:
+                        ret_misp += 1
+                        if misp_pen > 0:
+                            stall += misp_pen
+                            pen["mispredict"] = (
+                                pen.get("mispredict", 0) + misp_pen
+                            )
+                elif k == c_ijump or k == c_icall:
+                    ind_pred += 1
+                    if k == c_icall:
+                        if r_count < r_depth:
+                            r_count += 1
+                        r_slots[r_top] = snext
+                        r_top += 1
+                        if r_top == r_depth:
+                            r_top = 0
+                    nxt = next_ips[i]
+                    ii = ((ip >> 1) ^ (i_hist << 2)) & i_imask
+                    hit = i_tags[ii] == ip and i_targets[ii] == nxt
+                    i_tags[ii] = ip
+                    i_targets[ii] = nxt
+                    mixed = (nxt ^ (nxt >> 4) ^ (nxt >> 9)) & 0xF
+                    i_hist = ((i_hist << 2) ^ mixed) & i_hmask
+                    if not hit:
+                        ind_misp += 1
+                        if misp_pen > 0:
+                            stall += misp_pen
+                            pen["mispredict"] = (
+                                pen.get("mispredict", 0) + misp_pen
+                            )
+                # direct jump: the target is embedded, nothing to predict
+            else:
+                complete = True
+            cmd = yield pos, uops, stall, complete
+            continue
+
+        pos = cmd
+        if pos < 0:  # PUBLISH
             stats.cond_predictions = cond_pred
             stats.cond_mispredicts = cond_misp
             stats.indirect_predictions = ind_pred
@@ -190,12 +267,10 @@ def flat_build_fetch(
             stats.return_mispredicts = ret_misp
             stats.ic_lookups = ic_lookups
             stats.ic_misses = ic_misses
-            pos = yield None
-            g_hist = fp.g_hist
-            r_top = fp.r_top
-            r_count = fp.r_count
-            i_hist = fp.i_hist
+            cmd = yield None
+            continue
 
+        # ---- one build fetch cycle ----
         stall = 0
         stalled = False
         ip = ips[pos]
@@ -346,4 +421,4 @@ def flat_build_fetch(
             b_targets[found] = tgt
             b_stamps[found] = b_clock
             break
-        pos = yield pos, uops, stall, stalled
+        cmd = yield pos, uops, stall, stalled

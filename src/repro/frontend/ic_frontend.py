@@ -13,9 +13,11 @@ continuing across correctly-predicted taken branches and stopping at
 the first stall (mispredict, IC miss, BTB miss).
 
 Two implementations share this class.  ``_run_flat`` is the hot path:
-a per-cycle loop that resumes the flat build fetch the four flat
-frontends share (:func:`~repro.frontend.flat_engine.flat_build_fetch`)
-once per port, plus an XBC-style queue-stall fast-forward.
+a per-cycle loop that sends one build fetch per port to the flat
+engine the four flat frontends share
+(:func:`~repro.frontend.flat_engine.flat_build_fetch`, which owns the
+predictors, the BTB and the i-cache), plus an XBC-style queue-stall
+fast-forward.
 ``_run_reference`` is the original object-per-cycle
 code driving :class:`~repro.frontend.build_engine.BuildEngine`, kept
 as the behavioural oracle the differential tests compare against; both
@@ -33,7 +35,7 @@ from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.base import FrontendModel, UopFlow
 from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
-from repro.frontend.flat_engine import HANDOVER, flat_build_fetch
+from repro.frontend.flat_engine import PUBLISH, flat_build_fetch
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
 from repro.trace.record import Trace
@@ -76,6 +78,7 @@ class ICFrontend(FrontendModel):
         stats = FrontendStats(frontend=self.name, trace_name=trace.name)
         fetch = flat_build_fetch(config, trace, stats)
         next(fetch)
+        send = fetch.send
         total = len(trace)
         width = config.renamer_width
         depth = config.uop_queue_depth
@@ -101,7 +104,7 @@ class ICFrontend(FrontendModel):
             for _port in range(ports):
                 if pos >= total or depth - occ < max_fetch:
                     break
-                pos, uops, stall, stalled = fetch.send(pos)
+                pos, uops, stall, stalled = send(pos)
                 cycles += stall
                 occ += uops
                 pushed += uops
@@ -127,7 +130,7 @@ class ICFrontend(FrontendModel):
             cycles += (occ + width - 1) // width
             retired += occ
 
-        fetch.send(HANDOVER)  # the build-side counters into stats
+        send(PUBLISH)  # the fetch's counters into stats
         stats.cycles = cycles
         stats.build_cycles = build_cycles
         stats.uops_from_ic = from_ic

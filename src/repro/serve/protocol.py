@@ -38,7 +38,7 @@ from repro.exec.engine import job_key
 from repro.exec.job import BlockStatsJob, SimJob
 from repro.frontend.decoded_cache import DcConfig
 from repro.harness.registry import DEFAULT_LENGTH, registry_spec
-from repro.harness.runner import FRONTEND_KINDS
+from repro.harness.runner import FRONTEND_KINDS, make_frontend
 from repro.program.profiles import SUITE_NAMES
 from repro.tc.config import TcConfig
 from repro.trace.blockstats import PROMOTION_BIAS
@@ -178,6 +178,13 @@ def parse_job(payload: Any):
         config_kwargs[field_name] = _build_config(
             frontend, overrides, total_uops
         )
+    # Build the frontend once (no trace needed) so geometry it cannot
+    # have is a 400 now, not a failure after the trace is generated.
+    try:
+        make_frontend(frontend, None, total_uops=total_uops, assoc=assoc,
+                      **config_kwargs)
+    except (ConfigError, ValueError) as exc:
+        raise ProtocolError(f"invalid {frontend} geometry: {exc}") from exc
 
     return SimJob(
         frontend=frontend,

@@ -10,10 +10,10 @@ the frontend switches back to delivery.
 
 Two implementations share this class: ``_run_flat`` (default for the
 §4 baseline, which has path associativity OFF) is one fused loop over
-the columnar trace arrays with tuple-payload trace lines: delivery
-mode trains the predictors inline, build mode resumes the shared flat
-build fetch (:func:`~repro.frontend.flat_engine.flat_build_fetch`),
-and queue stalls are fast-forwarded XBC-style.
+the columnar trace arrays with tuple-payload trace lines: build
+fetches and line walks are both commands to the flat engine
+(:func:`~repro.frontend.flat_engine.flat_build_fetch`), which owns
+the run's predictors, and queue stalls are fast-forwarded XBC-style.
 ``_run_reference`` is the original object-per-cycle code, kept as the
 behavioural oracle the differential tests compare against and used for
 path-associative configurations (predictor-steered way selection stays
@@ -32,11 +32,10 @@ from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.base import FrontendModel, UopFlow
 from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
-from repro.frontend.flat_engine import HANDOVER, flat_build_fetch
+from repro.frontend.flat_engine import PUBLISH, flat_build_fetch
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
 from repro.isa.instruction import (
-    CODE_CALL,
     CODE_COND_BRANCH,
     CODE_INDIRECT_CALL,
     CODE_INDIRECT_JUMP,
@@ -82,24 +81,12 @@ class TcFrontend(FrontendModel):
     ) -> FrontendStats:
         config = self.config
         tc = self.tc_config
-        ips, takens, next_ips, kinds, nuops, snexts = trace.hot_columns()
+        ips, takens, _, kinds, nuops, snexts = trace.hot_columns()
         total = len(ips)
         stats = FrontendStats(frontend=self.name, trace_name=trace.name)
         fetch = flat_build_fetch(config, trace, stats)
-        fp = next(fetch)
-
-        # delivery-mode predictors, hoisted; the scalars change hands
-        # with the build fetch at every mode switch
-        g_counters = fp.g_counters
-        g_imask = fp.g_imask
-        g_hmask = fp.g_hmask
-        r_slots = fp.r_slots
-        r_depth = fp.r_depth
-        i_tags = fp.i_tags
-        i_targets = fp.i_targets
-        i_imask = fp.i_imask
-        i_hmask = fp.i_hmask
-        g_hist = r_top = r_count = i_hist = 0
+        next(fetch)
+        send = fetch.send
 
         # trace-cache store: set -> {start_ip: (entries, uops, stamp)}
         # with entry = (ip, taken, kind, nuops, snext).  Static fields
@@ -115,12 +102,10 @@ class TcFrontend(FrontendModel):
         # config scalars
         width = config.renamer_width
         depth = config.uop_queue_depth
-        misp_pen = config.mispredict_penalty
         mode_pen = config.mode_switch_penalty
         max_build = 4 * config.decode_width
         branch_floor = CODE_COND_BRANCH
         c_ijump = CODE_INDIRECT_JUMP
-        c_call = CODE_CALL
         c_icall = CODE_INDIRECT_CALL
         c_ret = CODE_RETURN
 
@@ -136,8 +121,6 @@ class TcFrontend(FrontendModel):
         s_lookups = s_hits = 0
         blocks_built = 0
         sw_deliver = sw_build = 0
-        cond_pred = cond_misp = ind_pred = ind_misp = 0
-        ret_pred = ret_misp = 0
         pen = stats.penalty_cycles
         pos = 0
         delivery = False
@@ -203,9 +186,6 @@ class TcFrontend(FrontendModel):
                 entry = bucket.get(ip0)
                 if entry is None:
                     delivery = False
-                    fp.g_hist, fp.r_top, fp.r_count, fp.i_hist = (
-                        g_hist, r_top, r_count, i_hist
-                    )
                     sw_build += 1
                     if mode_pen > 0:
                         cycles += mode_pen
@@ -217,95 +197,8 @@ class TcFrontend(FrontendModel):
                 bucket[ip0] = (entry[0], entry[1], clock)
                 s_hits += 1
                 fetch_cycles_s += 1
-                # ---- consume the line against the actual path ----
-                uops = 0
-                for ip, rec_taken, k, nu, snext in entry[0]:
-                    if pos >= total or ips[pos] != ip:
-                        break  # stale line contents vs the actual path
-                    i = pos
-                    pos += 1
-                    uops += nu
-                    if k < branch_floor:
-                        continue
-                    if k == branch_floor:  # conditional
-                        tk = takens[i]
-                        cond_pred += 1
-                        gi = ((ip >> 1) ^ g_hist) & g_imask
-                        c = g_counters[gi]
-                        if tk:
-                            if c < 3:
-                                g_counters[gi] = c + 1
-                            g_hist = ((g_hist << 1) | 1) & g_hmask
-                            if c < 2:
-                                cond_misp += 1
-                                if misp_pen > 0:
-                                    cycles += misp_pen
-                                    pen["mispredict"] = (
-                                        pen.get("mispredict", 0) + misp_pen
-                                    )
-                                break
-                        else:
-                            if c > 0:
-                                g_counters[gi] = c - 1
-                            g_hist = (g_hist << 1) & g_hmask
-                            if c >= 2:
-                                cond_misp += 1
-                                if misp_pen > 0:
-                                    cycles += misp_pen
-                                    pen["mispredict"] = (
-                                        pen.get("mispredict", 0) + misp_pen
-                                    )
-                                break
-                        if tk != rec_taken:
-                            break  # partial hit: recorded path diverges
-                    elif k == c_call:
-                        if r_count < r_depth:
-                            r_count += 1
-                        r_slots[r_top] = snext
-                        r_top += 1
-                        if r_top == r_depth:
-                            r_top = 0
-                    elif k == c_icall or k == c_ijump:
-                        if k == c_icall:
-                            if r_count < r_depth:
-                                r_count += 1
-                            r_slots[r_top] = snext
-                            r_top += 1
-                            if r_top == r_depth:
-                                r_top = 0
-                        ind_pred += 1
-                        nxt = next_ips[i]
-                        ii = ((ip >> 1) ^ (i_hist << 2)) & i_imask
-                        hit = i_tags[ii] == ip and i_targets[ii] == nxt
-                        i_tags[ii] = ip
-                        i_targets[ii] = nxt
-                        mixed = (nxt ^ (nxt >> 4) ^ (nxt >> 9)) & 0xF
-                        i_hist = ((i_hist << 2) ^ mixed) & i_hmask
-                        if not hit:
-                            ind_misp += 1
-                            if misp_pen > 0:
-                                cycles += misp_pen
-                                pen["mispredict"] = (
-                                    pen.get("mispredict", 0) + misp_pen
-                                )
-                    elif k == c_ret:
-                        ret_pred += 1
-                        if r_count == 0:
-                            predicted = -1
-                        else:
-                            r_top -= 1
-                            if r_top < 0:
-                                r_top = r_depth - 1
-                            r_count -= 1
-                            predicted = r_slots[r_top]
-                        if predicted != next_ips[i]:
-                            ret_misp += 1
-                            if misp_pen > 0:
-                                cycles += misp_pen
-                                pen["mispredict"] = (
-                                    pen.get("mispredict", 0) + misp_pen
-                                )
-                    # direct JUMP: embedded target, no action
+                pos, uops, stall, _ = send((pos, entry[0]))
+                cycles += stall
                 from_structure += uops
                 occ += uops
                 if logging:
@@ -325,7 +218,7 @@ class TcFrontend(FrontendModel):
                         build_cycles += extra
                     continue
                 start = pos
-                pos, cuops, stall, _ = fetch.send(pos)
+                pos, cuops, stall, _ = send(pos)
                 cycles += stall
                 from_ic += cuops
                 occ += cuops
@@ -356,10 +249,6 @@ class TcFrontend(FrontendModel):
                     ips[pos] in sets[(ips[pos] >> 1) & set_mask]
                 ):
                     delivery = True
-                    fetch.send(HANDOVER)
-                    g_hist, r_top, r_count, i_hist = (
-                        fp.g_hist, fp.r_top, fp.r_count, fp.i_hist
-                    )
                     pending = []
                     pending_uops = 0
                     pending_conds = 0
@@ -387,7 +276,7 @@ class TcFrontend(FrontendModel):
         else:
             redundancy = 1.0
 
-        fetch.send(HANDOVER)  # the build-side counters into stats
+        send(PUBLISH)  # the predictor and i-cache counters into stats
         stats.cycles = cycles
         stats.build_cycles = build_cycles
         stats.delivery_cycles = delivery_cycles
@@ -400,12 +289,6 @@ class TcFrontend(FrontendModel):
         stats.blocks_built = blocks_built
         stats.switches_to_delivery = sw_deliver
         stats.switches_to_build = sw_build
-        stats.cond_predictions += cond_pred
-        stats.cond_mispredicts += cond_misp
-        stats.indirect_predictions += ind_pred
-        stats.indirect_mispredicts += ind_misp
-        stats.return_predictions += ret_pred
-        stats.return_mispredicts += ret_misp
         stats.extra["tc_redundancy_x1000"] = int(redundancy * 1000)
         stats.extra["tc_resident_uops"] = resident_uops
         stats.verify_conservation(trace.total_uops)

@@ -14,9 +14,11 @@ through queue stalls only when no cycle log is requested:
 * ``cycle_log`` runs exercise the cycle-by-cycle path.
 
 Both must match the reference exactly, under the default
-configuration and under a small one that churns every predictor.  The
-build fetch the four flat loops share is also stepped against
-:meth:`BuildEngine.fetch_cycle` one fetch at a time.
+configuration and under a small one that churns every predictor, on
+the three suite traces and on an indirect- and return-heavy
+``server-micro`` trace.  The build fetch the four flat loops share is
+also stepped against :meth:`BuildEngine.fetch_cycle` one fetch at a
+time.
 """
 
 import pytest
@@ -27,7 +29,7 @@ from repro.branch.indirect import IndirectPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
-from repro.frontend.flat_engine import HANDOVER, flat_build_fetch
+from repro.frontend.flat_engine import PUBLISH, flat_build_fetch
 from repro.frontend.ic_frontend import ICFrontend
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
@@ -39,7 +41,7 @@ from repro.tc.frontend import TcFrontend
 #: pinned by tests/xbc/test_golden.py instead).
 FLAT_KINDS = ("ic", "dc", "tc", "bbtc")
 
-SUITES = ("specint", "sysmark", "games")
+TRACES = ("specint", "sysmark", "games", "server-micro")
 
 #: A small configuration under which every predictor and the i-cache
 #: churn.  The zero bubble and zero i-cache latency make hits and
@@ -85,19 +87,19 @@ def _run(kind, trace, reference, cycle_log=None):
     return run(trace, cycle_log=cycle_log)
 
 
-@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("suite", TRACES)
 @pytest.mark.parametrize("kind", FLAT_KINDS)
 class TestFlatMatchesReference:
-    def test_stats_identical(self, kind, suite, suite_traces):
+    def test_stats_identical(self, kind, suite, traces):
         """Stats-only runs (stall fast-forward active) are bit-identical."""
-        trace = suite_traces[suite]
+        trace = traces[suite]
         flat = _run(kind, trace, reference=False)
         ref = _run(kind, trace, reference=True)
         assert flat == ref
 
-    def test_cycle_log_identical(self, kind, suite, suite_traces):
+    def test_cycle_log_identical(self, kind, suite, traces):
         """Per-cycle uop delivery matches the reference cycle for cycle."""
-        trace = suite_traces[suite]
+        trace = traces[suite]
         flat_log, ref_log = [], []
         flat = _run(kind, trace, reference=False, cycle_log=flat_log)
         ref = _run(kind, trace, reference=True, cycle_log=ref_log)
@@ -108,8 +110,8 @@ class TestFlatMatchesReference:
 
 @pytest.mark.parametrize("size", (512, 8192))
 @pytest.mark.parametrize("kind, ports", CHURN_VARIANTS)
-@pytest.mark.parametrize("suite", SUITES)
-def test_churning_config_identical(kind, ports, size, suite, suite_traces):
+@pytest.mark.parametrize("suite", TRACES)
+def test_churning_config_identical(kind, ports, size, suite, traces):
     """Under churning predictors, stats and cycle logs stay identical."""
 
     def build():
@@ -117,7 +119,7 @@ def test_churning_config_identical(kind, ports, size, suite, suite_traces):
             return ICFrontend(CHURN, ports=ports)
         return make_frontend(kind, CHURN, total_uops=size)
 
-    trace = suite_traces[suite]
+    trace = traces[suite]
     assert build().run(trace) == build()._run_reference(trace)
     flat_log, ref_log = [], []
     flat = build().run(trace, cycle_log=flat_log)
@@ -129,18 +131,17 @@ def test_churning_config_identical(kind, ports, size, suite, suite_traces):
 @pytest.mark.parametrize(
     "config", (FrontendConfig(), CHURN), ids=("default", "churn")
 )
-@pytest.mark.parametrize("suite", SUITES)
-def test_shared_fetch_matches_build_engine(config, suite, suite_traces):
+@pytest.mark.parametrize("suite", TRACES)
+def test_shared_fetch_matches_build_engine(config, suite, traces):
     """Each flat build fetch equals one ``BuildEngine.fetch_cycle``.
 
     Both step the whole trace from the same positions; after every call
     the position, uops, penalties and counters must agree, and the
     fetch reports ``stalled`` exactly when the cycle charged a
     mispredict, i-cache miss or BTB miss, as ``ICFrontend`` decides it.
-    A handover after every fetch publishes the counters and round-trips
-    the predictor scalars through the shared state.
+    A publish after every fetch stores the counters in ``stats``.
     """
-    trace = suite_traces[suite]
+    trace = traces[suite]
     ref_stats = FrontendStats()
     engine = BuildEngine(
         config=config,
@@ -172,7 +173,7 @@ def test_shared_fetch_matches_build_engine(config, suite, suite_traces):
         )
         for cause, cycles in cycle.penalties.items():
             ref_penalties[cause] = ref_penalties.get(cause, 0) + cycles
-        assert fetch.send(HANDOVER) is None
+        assert fetch.send(PUBLISH) is None
         assert stats.penalty_cycles == ref_penalties
         for name in FETCH_COUNTERS:
             assert getattr(stats, name) == getattr(ref_stats, name), name

@@ -124,6 +124,18 @@ def test_defaulted_and_explicit_requests_share_a_key():
     ({"kind": "blockstats", "promotion_threshold": 2},
      "promotion_threshold"),
     ({"kind": "blockstats", "frontend": "xbc"}, "frontend"),
+    # Geometry the structure cannot have: rejected at submit, before
+    # any trace is generated.
+    ({"frontend": "tc", "length": 2000, "config": {"line_uops": 3}},
+     "line_uops"),
+    ({"frontend": "tc", "length": 2000, "total_uops": 1000}, "total_uops"),
+    ({"frontend": "tc", "length": 2000, "total_uops": 512, "assoc": 64},
+     "total_uops"),
+    ({"frontend": "dc", "length": 2000, "config": {"assoc": 3}}, "assoc"),
+    ({"frontend": "bbtc", "length": 2000,
+      "config": {"blocks_per_trace": 0}}, "blocks_per_trace"),
+    ({"frontend": "xbc", "length": 2000, "total_uops": 512, "assoc": 64},
+     "total_uops"),
 ])
 def test_bad_requests_are_rejected(payload, fragment):
     with pytest.raises(ProtocolError, match=fragment):
