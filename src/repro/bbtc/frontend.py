@@ -124,7 +124,7 @@ class BbtcFrontend(FrontendModel):
         next(fetch)
         send = fetch.send
 
-        # block cache: set -> {start_ip: (entries, uops, stamp)} with
+        # block cache: set -> {start_ip: (entries, stamp)} with
         # entry = (ip, taken, kind, nuops, snext); trace table:
         # set -> {first_block_ip: (block_ip_tuple, stamp)}.  Each store
         # keeps its own LRU clock, as the reference _SetAssoc does.
@@ -182,9 +182,9 @@ class BbtcFrontend(FrontendModel):
             bucket = bb_sets[(start_ip >> 1) & bb_mask]
             bb_clock += 1
             if start_ip not in bucket and len(bucket) >= bb_assoc:
-                victim = min(bucket, key=lambda k: bucket[k][2])
+                victim = min(bucket, key=lambda k: bucket[k][1])
                 del bucket[victim]
-            bucket[start_ip] = (tuple(pending_block), pending_uops, bb_clock)
+            bucket[start_ip] = (tuple(pending_block), bb_clock)
             if len(pending_trace) < blocks_per_trace:
                 pending_trace.append(start_ip)
             pending_block = []
@@ -256,7 +256,7 @@ class BbtcFrontend(FrontendModel):
                         complete = False  # pointer into evicted block
                         break
                     bb_clock += 1
-                    bbucket[block_ip] = (block[0], block[1], bb_clock)
+                    bbucket[block_ip] = (block[0], bb_clock)
                     pos, buops, stall, complete = send((pos, block[0]))
                     uops += buops
                     cycles += stall

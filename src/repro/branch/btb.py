@@ -2,92 +2,23 @@
 
 The build-mode frontend (the "traditional IC based frontend" at the top
 of the paper's Figure 6) needs a BTB to redirect fetch on taken
-branches without waiting for decode.  Set-associative with true LRU.
+branches without waiting for decode.  Set-associative with true LRU:
+one dict and one LRU-ordered list per set.
 
-The store is three flat packed arrays (tags, targets, LRU stamps)
-indexed by ``set * assoc + way``: way scans touch adjacent slots, no
-per-set objects or order lists exist, and eviction is a min-stamp scan
-— the packed layout the flat frontend loops inline directly.  The
-original dict-plus-LRU-list implementation is kept as
-:class:`ReferenceBranchTargetBuffer` for the differential property
-tests in ``tests/branch``; both behave identically.
+This class is the BTB of :class:`~repro.frontend.build_engine.BuildEngine`,
+which runs the frontends' ``_run_reference`` paths: the oracle of the
+differential tests, and the path-associative TC.  Every other run
+fetches through :func:`~repro.frontend.flat_engine.flat_build_fetch`,
+which keeps its BTB as flat tag/target/stamp lists with min-stamp
+eviction, a different layout that the differential tests hold to this
+one.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, Optional
 
 from repro.common.bitutils import log2_exact
-
-
-class BranchTargetBuffer:
-    """IP → target map with bounded set-associative capacity."""
-
-    def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
-        if entries % assoc:
-            raise ValueError(f"{entries} entries not divisible by assoc {assoc}")
-        self.num_sets = entries // assoc
-        log2_exact(self.num_sets)
-        self.assoc = assoc
-        self._set_mask = self.num_sets - 1
-        # Flat slot arrays: slot = set * assoc + way.  Tag -1 == empty.
-        self._tags = array("q", [-1]) * entries
-        self._targets = array("q", [0]) * entries
-        self._stamps = array("q", [0]) * entries
-        self._clock = 0
-        self.lookups = 0
-        self.hits = 0
-
-    def lookup(self, ip: int) -> Optional[int]:
-        """Predicted target of the branch at *ip*, or ``None`` on miss."""
-        self.lookups += 1
-        tags = self._tags
-        base = ((ip >> 1) & self._set_mask) * self.assoc
-        for slot in range(base, base + self.assoc):
-            if tags[slot] == ip:
-                self.hits += 1
-                self._clock += 1
-                self._stamps[slot] = self._clock
-                return self._targets[slot]
-        return None
-
-    def install(self, ip: int, target: int) -> None:
-        """Record (or refresh) the taken target of the branch at *ip*."""
-        tags = self._tags
-        stamps = self._stamps
-        base = ((ip >> 1) & self._set_mask) * self.assoc
-        end = base + self.assoc
-        victim = -1
-        victim_stamp = 0
-        for slot in range(base, end):
-            tag = tags[slot]
-            if tag == ip:
-                self._targets[slot] = target
-                self._clock += 1
-                stamps[slot] = self._clock
-                return
-            if tag == -1:
-                # A free way wins outright (the reference fills every
-                # way before evicting), and earlier frees win over
-                # later ones to match its append order.
-                victim = slot
-                break
-            stamp = stamps[slot]
-            if victim < 0 or stamp < victim_stamp:
-                victim = slot
-                victim_stamp = stamp
-        tags[victim] = ip
-        self._targets[victim] = target
-        self._clock += 1
-        stamps[victim] = self._clock
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit (1.0 before any lookup)."""
-        if self.lookups == 0:
-            return 1.0
-        return self.hits / self.lookups
 
 
 class _BtbSet:
@@ -98,8 +29,8 @@ class _BtbSet:
         self.order: List[int] = []         # LRU order, oldest first
 
 
-class ReferenceBranchTargetBuffer:
-    """The original dict/LRU-list BTB, kept as the behavioural oracle."""
+class BranchTargetBuffer:
+    """IP → target map with bounded set-associative capacity."""
 
     def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
         if entries % assoc:

@@ -6,17 +6,16 @@ stores).  Overflow overwrites the oldest entry, underflow returns
 ``None``; both behaviours match hardware return stacks and both are
 exercised by deep call chains in the sysmark suite.
 
-:class:`IntReturnStack` is the packed-integer variant for the flat
-frontends: slots live in one ``array('q')`` so push/pop are two index
-writes and no ``Optional`` boxing happens on the hot path (underflow
-is signalled with ``-1``, which can never be a return address).  The
-generic :class:`ReturnStackBuffer` stays for object payloads (XRSB)
-and as the behavioural oracle in the differential property tests.
+The XBC runs this class as its XRSB, and
+:class:`~repro.frontend.build_engine.BuildEngine` as its RSB.  The
+production build fetch,
+:func:`~repro.frontend.flat_engine.flat_build_fetch`, keeps its return
+addresses in a list ring of its own instead, with ``-1`` for an
+underflow, which no address equals.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Generic, List, Optional, TypeVar
 
 T = TypeVar("T")
@@ -71,63 +70,5 @@ class ReturnStackBuffer(Generic[T]):
     def clear(self) -> None:
         """Drop all entries (used on re-steer in some configurations)."""
         self._slots = [None] * self.depth
-        self._top = 0
-        self._count = 0
-
-
-class IntReturnStack:
-    """Packed-integer return stack with the same hardware semantics.
-
-    Addresses are non-negative, so underflow is reported as ``-1``
-    instead of ``None`` — callers compare the popped value against the
-    committed return IP either way.
-    """
-
-    __slots__ = ("depth", "_slots", "_top", "_count",
-                 "pushes", "pops", "underflows", "overflows")
-
-    def __init__(self, depth: int = 16) -> None:
-        if depth < 1:
-            raise ValueError(f"RSB depth must be >= 1, got {depth}")
-        self.depth = depth
-        self._slots = array("q", [0]) * depth
-        self._top = 0       # index of the next free slot
-        self._count = 0     # valid entries (<= depth)
-        self.pushes = 0
-        self.pops = 0
-        self.underflows = 0
-        self.overflows = 0
-
-    def push(self, value: int) -> None:
-        """Push a value; silently overwrites the oldest on overflow."""
-        self.pushes += 1
-        if self._count == self.depth:
-            self.overflows += 1
-        else:
-            self._count += 1
-        self._slots[self._top] = value
-        self._top = (self._top + 1) % self.depth
-
-    def pop(self) -> int:
-        """Pop the most recent value; ``-1`` on underflow."""
-        self.pops += 1
-        if self._count == 0:
-            self.underflows += 1
-            return -1
-        self._top = (self._top - 1) % self.depth
-        self._count -= 1
-        return self._slots[self._top]
-
-    def peek(self) -> int:
-        """Most recent value without popping, ``-1`` when empty."""
-        if self._count == 0:
-            return -1
-        return self._slots[(self._top - 1) % self.depth]
-
-    def __len__(self) -> int:
-        return self._count
-
-    def clear(self) -> None:
-        """Drop all entries (used on re-steer in some configurations)."""
         self._top = 0
         self._count = 0

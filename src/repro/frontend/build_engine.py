@@ -1,15 +1,16 @@
-"""Build-mode fetch/decode engine.
+"""Build-mode fetch/decode engine: the structured oracle.
 
 This models the "traditional IC based frontend" in the upper half of
 the paper's Figure 6: BTB-steered fetch of aligned blocks from the
-instruction cache, decode-width-limited translation into uops.  The
-XBC and the ``_run_reference`` paths of the IC, DC, TC and BBTC run it
-in build mode (the IC in every cycle), and the uop structures feed its
-output to their fill units.  The flat paths of those four send their
-build fetches to :func:`~repro.frontend.flat_engine.flat_build_fetch`
-instead, the same fetch as integer math, which the differential tests
-hold to this class cycle by cycle; that generator also walks their
-delivery lines and owns the run's predictors.
+instruction cache, decode-width-limited translation into uops.  Only
+the ``_run_reference`` paths of the IC, DC, TC and BBTC run it (the IC
+in every cycle, the others in build mode, feeding its output to their
+fill units): the oracle of the differential tests, and the
+path-associative TC.  Every other run, the XBC's included, sends its
+build fetches to :func:`~repro.frontend.flat_engine.flat_build_fetch`,
+the same fetch as integer math, which the differential tests hold to
+this class cycle by cycle; that generator also walks the delivery
+lines, predicts the XBC's XBs and owns the run's predictors.
 
 One call to :meth:`BuildEngine.fetch_cycle` is one build-mode cycle:
 it supplies the instructions fetched and decoded that cycle (following

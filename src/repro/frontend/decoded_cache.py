@@ -121,7 +121,7 @@ class DecodedCacheFrontend(FrontendModel):
         next(fetch)
         send = fetch.send
 
-        # line store: set -> {start_ip: (entries, uops, stamp)} with
+        # line store: set -> {start_ip: (entries, stamp)} with
         # entry = (ip, taken, kind, nuops, snext); static fields are
         # functions of ip, so the anchor-keyed bucket probe is the
         # whole lookup.
@@ -166,9 +166,9 @@ class DecodedCacheFrontend(FrontendModel):
             bucket = sets[(start_ip >> 1) & set_mask]
             clock += 1
             if start_ip not in bucket and len(bucket) >= dc_assoc:
-                victim = min(bucket, key=lambda k: bucket[k][2])
+                victim = min(bucket, key=lambda k: bucket[k][1])
                 del bucket[victim]
-            bucket[start_ip] = (tuple(pending), pending_uops, clock)
+            bucket[start_ip] = (tuple(pending), clock)
             blocks_built += 1
             pending = []
             pending_uops = 0
@@ -212,7 +212,7 @@ class DecodedCacheFrontend(FrontendModel):
                         cycle_log.append(0)
                     continue
                 clock += 1
-                bucket[ip0] = (entry[0], entry[1], clock)
+                bucket[ip0] = (entry[0], clock)
                 s_hits += 1
                 fetch_cycles_s += 1
                 pos, uops, stall, _ = send((pos, entry[0]))
@@ -270,7 +270,7 @@ class DecodedCacheFrontend(FrontendModel):
                     entry = bucket.get(ip0)
                     if entry is not None:
                         clock += 1
-                        bucket[ip0] = (entry[0], entry[1], clock)
+                        bucket[ip0] = (entry[0], clock)
                         delivery = True
                         pending = []
                         pending_uops = 0

@@ -1,19 +1,21 @@
-"""The predictors and fetch paths of the flat IC/DC/TC/BBTC hot paths.
+"""The build fetch and the predictors of all five frontends.
 
-Each of those frontends runs one fused ``_run_flat`` loop over the
-columnar trace arrays.  In the paper's Figure 6 one set of predictors
-serves both modes, and each branch trains it once, whether its uops
-came from the IC or from the uop structure.  The generator
-:func:`flat_build_fetch` is the one owner of that state in a flat run:
-gshare, the RSB and the indirect table, plus the BTB and the i-cache
-only build mode uses, all kept in frame locals between commands.  A
-frontend drives it with three commands, one resume each::
+The IC, DC, TC and BBTC each run one fused ``_run_flat`` loop over the
+columnar trace arrays, and the XBC runs its own structured loop.  In
+the paper's Figure 6 one set of predictors serves both modes, and each
+branch trains it once, whether its uops came from the IC or from the
+uop structure.  The generator :func:`flat_build_fetch` is the one owner
+of that state in a run, and every frontend's build mode fetches
+through it: gshare, the RSB and the indirect table, plus the BTB and
+the i-cache only build mode uses, all kept in frame locals between
+commands.  A frontend drives it with four commands, one resume each::
 
     fetch = flat_build_fetch(config, trace, stats)
     next(fetch)                                   # prime
     send = fetch.send
     pos, uops, stall, stalled = send(pos)         # one build fetch cycle
     pos, uops, stall, complete = send((pos, entries))  # one delivery walk
+    mispredicted = send(-2 - ((ip << 1) | taken))  # one XBP prediction
     send(PUBLISH)                                 # counters into stats
 
 A build fetch is the BTB-steered i-cache fetch and decode at the top
@@ -37,11 +39,25 @@ transfer other than a not-taken conditional, so such a transfer is
 always a line's last entry, where stopping and running off the end
 agree.
 
-``send(PUBLISH)`` stores the prediction counters of both modes and the
-i-cache counters in ``stats``; a run ends with it.
+An XBP prediction is the XBC's delivery-mode gshare lookup (§3.5): it
+predicts and trains the conditional branch at *ip* that ends an XB,
+with the actual direction *taken*, counts the prediction, and says
+whether it mispredicted.  It charges no penalty; the XBC charges the
+re-steer itself.  The command is an int below :data:`PUBLISH`, so
+telling the four commands apart costs one class test and one sign test
+on the fetch and walk paths.  The DC, TC and BBTC predict their
+delivered conditionals in the walk instead.
 
-Layouts (mirroring the packed classes in :mod:`repro.branch` and
-:mod:`repro.frontend.icache`, which remain the behavioural oracles):
+``send(PUBLISH)`` adds the prediction counters of both modes and the
+i-cache counters into ``stats`` and zeroes its own; a run ends with
+it.  It adds because the XBC counts its XiBTB and XRSB predictions in
+``stats`` directly; the four flat loops publish once into zeroed
+counters.
+
+Layouts (each with the behaviour of the class in :mod:`repro.branch` or
+:mod:`repro.frontend.icache` that
+:class:`~repro.frontend.build_engine.BuildEngine` runs, the behavioural
+oracle):
 
 - gshare: ``g_counters`` list of 2-bit counters, index
   ``((ip >> 1) ^ hist) & g_imask``;
@@ -82,23 +98,26 @@ assert all(
 assert CODE_COND_BRANCH < CODE_JUMP < CODE_INDIRECT_JUMP < CODE_CALL
 assert CODE_CALL < CODE_INDIRECT_CALL < CODE_RETURN
 
-#: Sent instead of a trace position: store the counters in ``stats``.
+#: Sent instead of a trace position: add the counters into ``stats``.
+#: XBP predictions are the ints below it.
 PUBLISH = -1
 
 
 def flat_build_fetch(
     config: FrontendConfig, trace: Trace, stats: FrontendStats
 ) -> Generator[Any, Any, None]:
-    """Build fetches and delivery walks over *trace* (oracles:
-    BuildEngine and the frontends' ``_consume_*`` methods).
+    """Build fetches, delivery walks and XBP predictions over *trace*
+    (oracles: BuildEngine and the frontends' ``_consume_*`` methods).
 
     Primed with ``next()``; then each ``send(pos)`` runs one fetch
     cycle from trace position *pos* and yields ``(new_pos, uops, stall,
     stalled)``.  Fetch stops at the decode-width limit, at the
     fetch-block boundary, or after the first control transfer.  Each
     ``send((pos, entries))`` walks one stored line or block and yields
-    ``(new_pos, uops, stall, complete)``.  See the module docstring,
-    also for :data:`PUBLISH`.
+    ``(new_pos, uops, stall, complete)``.  Each ``send(-2 - ((ip << 1)
+    | taken))`` predicts and trains one conditional and yields whether
+    it mispredicted.  See the module docstring, also for
+    :data:`PUBLISH`.
     """
     ips, takens, next_ips, kinds, nuops, snexts = trace.hot_columns()
     total = len(ips)
@@ -258,16 +277,39 @@ def flat_build_fetch(
             continue
 
         pos = cmd
-        if pos < 0:  # PUBLISH
-            stats.cond_predictions = cond_pred
-            stats.cond_mispredicts = cond_misp
-            stats.indirect_predictions = ind_pred
-            stats.indirect_mispredicts = ind_misp
-            stats.return_predictions = ret_pred
-            stats.return_mispredicts = ret_misp
-            stats.ic_lookups = ic_lookups
-            stats.ic_misses = ic_misses
-            cmd = yield None
+        if pos < 0:
+            if pos == PUBLISH:
+                stats.cond_predictions += cond_pred
+                stats.cond_mispredicts += cond_misp
+                stats.indirect_predictions += ind_pred
+                stats.indirect_mispredicts += ind_misp
+                stats.return_predictions += ret_pred
+                stats.return_mispredicts += ret_misp
+                stats.ic_lookups += ic_lookups
+                stats.ic_misses += ic_misses
+                cond_pred = cond_misp = ind_pred = ind_misp = 0
+                ret_pred = ret_misp = ic_lookups = ic_misses = 0
+                cmd = yield None
+                continue
+            # ---- one XBP prediction: -2 - ((ip << 1) | taken) ----
+            code = -2 - pos
+            ip = code >> 1
+            gi = ((ip >> 1) ^ g_hist) & g_imask
+            c = g_counters[gi]
+            cond_pred += 1
+            if code & 1:
+                if c < 3:
+                    g_counters[gi] = c + 1
+                g_hist = ((g_hist << 1) | 1) & g_hmask
+                mispredicted = c < 2
+            else:
+                if c > 0:
+                    g_counters[gi] = c - 1
+                g_hist = (g_hist << 1) & g_hmask
+                mispredicted = c >= 2
+            if mispredicted:
+                cond_misp += 1
+            cmd = yield mispredicted
             continue
 
         # ---- one build fetch cycle ----

@@ -179,8 +179,11 @@ class FrontendStats:
     def verify_conservation(self, expected_uops: int) -> None:
         """Assert the run-end invariants of the counters.
 
-        Every trace uop was supplied exactly once, no more lookups hit
-        than were made, and build plus delivery cycles fit in the total.
+        Every trace uop was supplied exactly once; no more structure
+        lookups hit, and no more i-cache lookups missed, than were
+        made; no predictor mispredicted more often than it predicted;
+        structure fetches happened only in delivery cycles; and build
+        cycles, delivery cycles and penalty cycles fit in the total.
         Frontends call this at the end of ``run``; a failure is always
         a simulator bug, never a workload property.
         """
@@ -196,11 +199,33 @@ class FrontendStats:
                 f"{self.frontend}: {self.structure_hits} structure hits > "
                 f"{self.structure_lookups} lookups (accounting bug)"
             )
-        if self.build_cycles + self.delivery_cycles > self.cycles:
+        if self.ic_misses > self.ic_lookups:
+            raise SimulationError(
+                f"{self.frontend}: {self.ic_misses} i-cache misses > "
+                f"{self.ic_lookups} lookups (accounting bug)"
+            )
+        for kind, mispredicts, predictions in (
+            ("conditional", self.cond_mispredicts, self.cond_predictions),
+            ("indirect", self.indirect_mispredicts, self.indirect_predictions),
+            ("return", self.return_mispredicts, self.return_predictions),
+        ):
+            if mispredicts > predictions:
+                raise SimulationError(
+                    f"{self.frontend}: {mispredicts} {kind} mispredicts > "
+                    f"{predictions} predictions (accounting bug)"
+                )
+        if self.structure_fetch_cycles > self.delivery_cycles:
+            raise SimulationError(
+                f"{self.frontend}: {self.structure_fetch_cycles} structure "
+                f"fetch cycles > {self.delivery_cycles} delivery cycles "
+                "(accounting bug)"
+            )
+        penalties = self.total_penalty_cycles
+        if self.build_cycles + self.delivery_cycles + penalties > self.cycles:
             raise SimulationError(
                 f"{self.frontend}: build {self.build_cycles} + delivery "
-                f"{self.delivery_cycles} cycles > {self.cycles} cycles "
-                "(accounting bug)"
+                f"{self.delivery_cycles} + penalty {penalties} cycles > "
+                f"{self.cycles} cycles (accounting bug)"
             )
 
     def summary(self) -> str:

@@ -7,32 +7,32 @@ first XB first, the second XB fetching only until its first bank
 conflict, with the conflicted remainder deferred to the next cycle —
 and the out-mux reorders the reverse-stored uops.  XBTB misses,
 unresolvable targets, and XBC misses that survive set search switch the
-frontend to build mode; there the shared IC/BTB/decode engine supplies
-uops while the XFU builds XBs, and the frontend switches back once the
-next XB is reachable through the XBTB with its lines resident.
+frontend to build mode; there the build fetch the four other
+frontends share (:func:`~repro.frontend.flat_engine.flat_build_fetch`)
+supplies uops from the IC while the XFU builds XBs, and the frontend
+switches back once the next XB is reachable through the XBTB with its
+lines resident.
 
 Bookkeeping discipline: every *transition* between consecutive XBs
 (prediction consumption, bias-counter update, XRSB push/pop, XiBTB
-training) happens exactly once, whichever mode processes it; gshare is
-trained per conditional branch exactly once — by the build engine when
-the branch's uops came from the IC, by the transition logic when they
-came from the XBC.
+training) happens exactly once, whichever mode processes it.  gshare,
+the XBP of both modes, lives in the one ``flat_build_fetch`` generator
+of the run and is trained per conditional branch exactly once: by the
+build fetch when the branch's uops came from the IC, by the XBP
+command when they came from the XBC.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.branch.bias import BIAS_MAX, PROMOTE_HIGH, PROMOTE_LOW
-from repro.branch.btb import BranchTargetBuffer
-from repro.branch.gshare import GsharePredictor
 from repro.branch.indirect import IndirectPredictor
 from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.base import FrontendModel, UopFlow
-from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
-from repro.frontend.icache import InstructionCache
+from repro.frontend.flat_engine import PUBLISH, flat_build_fetch
 from repro.frontend.metrics import FrontendStats
 from repro.isa.instruction import InstrKind
 from repro.isa.uop import uop_uid_ip, uop_uid_index
@@ -71,10 +71,11 @@ class _Run:
         self.n_steps = 0
         self.stats: FrontendStats = None  # type: ignore[assignment]
         self.flow: UopFlow = None  # type: ignore[assignment]
-        self.gshare: GsharePredictor = None  # type: ignore[assignment]
+        #: ``send`` of the run's flat_build_fetch: build fetches, XBP
+        #: predictions and the closing PUBLISH
+        self.send: Callable[[Any], Any] = None  # type: ignore[assignment]
         self.xibtb: IndirectPredictor = None  # type: ignore[assignment]
         self.xrsb: ReturnStackBuffer = None  # type: ignore[assignment]
-        self.engine: BuildEngine = None  # type: ignore[assignment]
         self.storage: XbcStorage = None  # type: ignore[assignment]
         self.xbtb: Xbtb = None  # type: ignore[assignment]
         self.fill: XbcFillUnit = None  # type: ignore[assignment]
@@ -184,24 +185,13 @@ class XbcFrontend(FrontendModel):
         r.n_steps = len(r.steps)
         r.stats = FrontendStats(frontend=self.name, trace_name=trace.name)
         r.flow = UopFlow(config, r.stats)
-        r.gshare = GsharePredictor(config.gshare_history_bits, config.gshare_entries)
+        fetch = flat_build_fetch(config, trace, r.stats)
+        next(fetch)
+        r.send = fetch.send
         r.xibtb = IndirectPredictor(
             config.indirect_entries, config.indirect_history_bits
         )
         r.xrsb = ReturnStackBuffer(xc.xrsb_depth)
-        r.engine = BuildEngine(
-            config=config,
-            stats=r.stats,
-            icache=InstructionCache(
-                config.ic_size_bytes, config.ic_line_bytes, config.ic_assoc
-            ),
-            cond_predictor=r.gshare,
-            btb=BranchTargetBuffer(config.btb_entries, config.btb_assoc),
-            rsb=ReturnStackBuffer(config.rsb_depth),
-            indirect=IndirectPredictor(
-                config.indirect_entries, config.indirect_history_bits
-            ),
-        )
         r.storage = XbcStorage(xc)
         r.xbtb = Xbtb(xc)
         r.fill = XbcFillUnit(xc, r.storage, r.xbtb, r.stats)
@@ -210,7 +200,9 @@ class XbcFrontend(FrontendModel):
         return r
 
     def _finish_run(self, r: _Run) -> FrontendStats:
-        """Run epilogue: queue drain, capacity audits, conservation."""
+        """Run epilogue: counters, queue drain, capacity audits,
+        conservation."""
+        r.send(PUBLISH)
         r.flow.drain_all()
         r.stats.extra["xbc_redundancy_x1000"] = int(r.storage.redundancy() * 1000)
         r.stats.extra["xbc_resident_uops"] = r.storage.resident_uops()
@@ -435,12 +427,12 @@ class XbcFrontend(FrontendModel):
             r.a_done = True
             actual = r.last_taken
             r.link_info = (entry, actual)
-            if not r.last_in_build:
-                stats = r.stats
-                stats.cond_predictions += 1
-                if not r.gshare.update(entry.xb_ip, actual):
-                    stats.cond_mispredicts += 1
-                    mispredict = "cond"
+            # The XBP command (flat_build_fetch) trains gshare at the
+            # XB's ending branch unless the build fetch already did.
+            if not r.last_in_build and r.send(
+                -2 - ((entry.xb_ip << 1) | actual)
+            ):
+                mispredict = "cond"
             # promoter.on_outcome for a non-promoted conditional, inline
             bias = entry.bias
             value = bias.value
@@ -485,7 +477,7 @@ class XbcFrontend(FrontendModel):
         correct path (trace-driven); *mispredict* names the re-steer
         cause when the prediction disagreed with the actual outcome
         (``None`` when prediction was right or already charged by the
-        build engine).
+        build fetch).
         """
         stats = r.stats
         r.a_done = True
@@ -507,14 +499,11 @@ class XbcFrontend(FrontendModel):
                     stats.bump("promotion_misses")
                     return ptr, None if in_build else "promotion"
                 return ptr, None
-            mispredict: Optional[str] = None
-            if not in_build and not r.last_in_build:
-                stats.cond_predictions += 1
-                if not r.gshare.update(entry.xb_ip, actual):
-                    stats.cond_mispredicts += 1
-                    mispredict = "cond"
+            # A non-promoted conditional reaches here only from build
+            # mode (_resolve_fresh resolves it inline in delivery mode),
+            # where the build fetch has trained gshare on it.
             r.promoter.on_outcome(entry, actual)
-            return entry.pointer_for(actual), mispredict
+            return entry.pointer_for(actual), None
 
         if kind is InstrKind.CALL:
             r.xrsb.push(entry)
@@ -749,17 +738,17 @@ class XbcFrontend(FrontendModel):
         stats.build_cycles += 1
         if not r.flow.can_accept(4 * self.config.decode_width):
             return
-        r.pos, cycle = r.engine.fetch_cycle(r.trace, r.pos)
-        stats.uops_from_ic += cycle.uops
-        r.flow.push(cycle.uops)
-        for cause, cycles in cycle.penalties.items():
-            stats.add_penalty(cause, cycles)
+        # The fetch has already added its penalties to penalty_cycles.
+        r.pos, uops, stall, _ = r.send(r.pos)
+        stats.uops_from_ic += uops
+        stats.cycles += stall
+        r.flow.push(uops)
 
         finalized = False
         while r.si < r.n_steps and r.pos > r.steps[r.si].last_record:
             self._finalize_step(r)
             finalized = True
-        # Only switch at an exact step boundary: the build engine may have
+        # Only switch at an exact step boundary: the build fetch may have
         # overshot into the next step within this fetch cycle, and those
         # uops were already supplied from the IC.
         if (

@@ -191,6 +191,19 @@ class TestDispatch:
         monkeypatch.setattr(frontend, "_run_reference", _boom)
         frontend.run(small_trace)
 
+    @pytest.mark.parametrize("kind", FLAT_KINDS + ("xbc",))
+    def test_run_never_drives_build_engine(
+        self, kind, monkeypatch, small_trace
+    ):
+        """Every frontend's ``run()`` fetches in build mode through
+        ``flat_build_fetch``; ``BuildEngine`` is an oracle only."""
+
+        def _boom(*args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("BuildEngine driven by a production run")
+
+        monkeypatch.setattr(BuildEngine, "fetch_cycle", _boom)
+        make_frontend(kind, FrontendConfig()).run(small_trace)
+
     def test_tc_path_associativity_uses_reference(
         self, monkeypatch, small_trace
     ):

@@ -1,10 +1,13 @@
-"""Golden pin of the flat frontends' simulated output.
+"""Golden pin of the five frontends' simulated output.
 
 ``results/`` holds only TC and XBC figures, and the flat-vs-reference
 tests compare two implementations with each other, so nothing else
 pins what ``ic``, ``dc``, ``tc`` and ``bbtc`` report.  Their results
 on every ``suite_traces`` suite and on the ``server-micro`` trace are
-pinned here by digest, under two configurations:
+pinned here by digest, and so are the XBC's, whose build mode runs the
+same flat build fetch: ``tests/xbc/golden_xbc.json`` covers it only on
+the suite traces under the default predictors, where build mode's
+i-cache, BTB, RSB and indirect table barely evict.  Two configurations:
 
 * ``default`` — :class:`FrontendConfig` with the 8K-uop structures
   :func:`~repro.harness.runner.make_frontend` builds, and
@@ -32,6 +35,8 @@ from tests.frontend.test_flat_equivalence import CHURN, FLAT_KINDS, TRACES
 from tests.xbc.test_golden import _log_digest
 
 GOLDEN_PATH = Path(__file__).with_name("golden_flat.json")
+
+KINDS = FLAT_KINDS + ("xbc",)
 
 #: label -> (frontend config, structure budget in uops)
 CONFIGS = {
@@ -66,7 +71,7 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("kind", FLAT_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", TRACES)
 @pytest.mark.parametrize("label", tuple(CONFIGS))
 def test_flat_matches_golden(label, name, kind, traces, golden):

@@ -122,3 +122,59 @@ def test_verify_conservation_rejects_mode_cycles_beyond_total():
     s.delivery_cycles = 31
     with pytest.raises(SimulationError, match="> 50 cycles"):
         s.verify_conservation(100)
+
+
+def test_verify_conservation_rejects_more_ic_misses_than_lookups():
+    from repro.common.errors import SimulationError
+
+    s = FrontendStats(uops_from_ic=100, ic_lookups=10, ic_misses=10)
+    s.verify_conservation(100)  # every lookup missed: fine
+    s.ic_misses = 11
+    with pytest.raises(SimulationError, match="11 i-cache misses > 10"):
+        s.verify_conservation(100)
+
+
+@pytest.mark.parametrize("kind, prefix", [
+    ("conditional", "cond"),
+    ("indirect", "indirect"),
+    ("return", "return"),
+])
+def test_verify_conservation_rejects_more_mispredicts_than_predictions(
+    kind, prefix
+):
+    from repro.common.errors import SimulationError
+
+    s = FrontendStats(uops_from_ic=100)
+    setattr(s, f"{prefix}_predictions", 5)
+    setattr(s, f"{prefix}_mispredicts", 5)
+    s.verify_conservation(100)  # every prediction wrong: fine
+    setattr(s, f"{prefix}_mispredicts", 6)
+    with pytest.raises(
+        SimulationError, match=f"6 {kind} mispredicts > 5 predictions"
+    ):
+        s.verify_conservation(100)
+
+
+def test_verify_conservation_rejects_fetch_cycles_beyond_delivery():
+    from repro.common.errors import SimulationError
+
+    s = FrontendStats(uops_from_structure=100, cycles=30,
+                      delivery_cycles=30, structure_fetch_cycles=30)
+    s.verify_conservation(100)  # a fetch in every delivery cycle: fine
+    s.structure_fetch_cycles = 31
+    with pytest.raises(
+        SimulationError, match="31 structure fetch cycles > 30 delivery"
+    ):
+        s.verify_conservation(100)
+
+
+def test_verify_conservation_rejects_penalties_beyond_total():
+    from repro.common.errors import SimulationError
+
+    s = FrontendStats(uops_from_ic=40, uops_from_structure=60,
+                      cycles=50, build_cycles=20, delivery_cycles=25,
+                      penalty_cycles={"mispredict": 3, "ic_miss": 2})
+    s.verify_conservation(100)  # the penalties fill the total: fine
+    s.penalty_cycles["mode_switch"] = 1
+    with pytest.raises(SimulationError, match="penalty 6 cycles > 50 cycles"):
+        s.verify_conservation(100)
