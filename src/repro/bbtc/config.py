@@ -34,6 +34,8 @@ class BbtcConfig:
         """Raise :class:`ConfigError` on inconsistent geometry."""
         if self.block_uops < 2:
             raise ConfigError("block_uops must be >= 2")
+        if self.assoc < 1 or self.table_assoc < 1:
+            raise ConfigError("assoc and table_assoc must be >= 1")
         if self.total_uops % (self.block_uops * self.assoc):
             raise ConfigError("total_uops must be divisible by block_uops*assoc")
         try:

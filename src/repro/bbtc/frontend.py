@@ -8,11 +8,15 @@ a trace-table entry, fetching each pointed-to block from the block
 cache and checking the embedded conditional directions against gshare
 and the actual path, exactly as the TC model does at uop granularity.
 
-Two implementations share this class: ``_run_flat`` (default) is one
-fused loop over the columnar trace arrays with tuple-payload blocks:
-build fetches and block walks are both commands to the flat engine
-(:func:`~repro.frontend.flat_engine.flat_build_fetch`), which owns
-the run's predictors, and queue stalls are fast-forwarded XBC-style;
+Two implementations share this class.  ``_run_flat`` (default) holds
+only the block cache and the trace table, as per-set dicts of tuple
+payloads, and its two closures: ``deliver`` looks a trace up and walks
+its blocks, ``fill`` segments one build fetch into blocks and traces.
+The shared mode loop
+(:func:`~repro.frontend.flat_engine.run_flat_modes`) runs the cycles,
+the queue and the mode switches, and the flat engine
+(:func:`~repro.frontend.flat_engine.flat_build_fetch`) owns the
+predictors and does the build fetches and block walks.
 ``_run_reference`` is the original object-per-cycle code, kept as the
 behavioural oracle the differential tests compare against.  Both
 produce bit-identical :class:`FrontendStats`.
@@ -30,7 +34,7 @@ from repro.bbtc.config import BbtcConfig
 from repro.frontend.base import FrontendModel, UopFlow
 from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
-from repro.frontend.flat_engine import PUBLISH, flat_build_fetch
+from repro.frontend.flat_engine import flat_build_fetch, run_flat_modes
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
 from repro.isa.instruction import (
@@ -100,6 +104,10 @@ class BbtcFrontend(FrontendModel):
         super().__init__(config if config is not None else FrontendConfig())
         bbtc_config = bbtc_config if bbtc_config is not None else BbtcConfig()
         bbtc_config.validate()
+        self._check_fetch_fits(
+            bbtc_config.blocks_per_trace * bbtc_config.block_uops,
+            "blocks_per_trace * block_uops",
+        )
         self.bbtc_config = bbtc_config
 
     def run(
@@ -140,44 +148,50 @@ class BbtcFrontend(FrontendModel):
         block_quota = bc.block_uops
         blocks_per_trace = bc.blocks_per_trace
         max_conds = bc.max_cond_branches
-
-        # config scalars
-        width = config.renamer_width
-        depth = config.uop_queue_depth
-        mode_pen = config.mode_switch_penalty
-        max_build = 4 * config.decode_width
-        max_fetch = blocks_per_trace * block_quota
         branch_floor = CODE_COND_BRANCH
         c_ijump = CODE_INDIRECT_JUMP
         c_icall = CODE_INDIRECT_CALL
         c_ret = CODE_RETURN
-
-        # counters
-        cycles = 0
-        build_cycles = 0
-        delivery_cycles = 0
-        retired = 0
-        occ = 0
-        from_ic = 0
-        from_structure = 0
-        fetch_cycles_s = 0
-        s_lookups = s_hits = 0
-        blocks_built = 0
-        sw_deliver = sw_build = 0
-        pen = stats.penalty_cycles
-        pos = 0
-        delivery = False
-        # fill state
+        built = 0
         pending_block: list = []    # [(ip, taken, kind, nu, snext), ...]
         pending_uops = 0
         pending_trace: list = []    # block start IPs
         pending_conds = 0
-        logging = cycle_log is not None
+
+        def deliver(pos: int):
+            """Walk the pointed-to blocks against the actual path."""
+            nonlocal tb_clock, bb_clock
+            ip = ips[pos]
+            tbucket = tb_sets[(ip >> 1) & tb_mask]
+            tentry = tbucket.get(ip)
+            if tentry is None:
+                return None
+            tb_clock += 1
+            tbucket[ip] = (tentry[0], tb_clock)
+            uops = stall = 0
+            complete = True
+            for block_ip in tentry[0]:
+                if pos >= total or ips[pos] != block_ip:
+                    complete = False
+                    break
+                bbucket = bb_sets[(block_ip >> 1) & bb_mask]
+                block = bbucket.get(block_ip)
+                if block is None:
+                    complete = False  # pointer into evicted block
+                    break
+                bb_clock += 1
+                bbucket[block_ip] = (block[0], bb_clock)
+                pos, buops, bstall, complete = send((pos, block[0]))
+                uops += buops
+                stall += bstall
+                if not complete:
+                    break
+            if uops == 0:
+                return None  # the first block pointer missed
+            return pos, uops, stall, complete
 
         def close_block() -> None:
             nonlocal pending_block, pending_uops, bb_clock
-            if not pending_block:
-                return
             start_ip = pending_block[0][0]
             bucket = bb_sets[(start_ip >> 1) & bb_mask]
             bb_clock += 1
@@ -191,7 +205,7 @@ class BbtcFrontend(FrontendModel):
             pending_uops = 0
 
         def close_trace() -> None:
-            nonlocal pending_trace, pending_conds, tb_clock, blocks_built
+            nonlocal pending_trace, pending_conds, tb_clock, built
             if pending_trace:
                 key = pending_trace[0]
                 bucket = tb_sets[(key >> 1) & tb_mask]
@@ -200,168 +214,50 @@ class BbtcFrontend(FrontendModel):
                     victim = min(bucket, key=lambda k: bucket[k][1])
                     del bucket[victim]
                 bucket[key] = (tuple(pending_trace), tb_clock)
-                blocks_built += 1
+                built += 1
             pending_trace = []
             pending_conds = 0
 
-        while pos < total:
-            cycles += 1
-            if occ:
-                t = occ if occ < width else width
-                occ -= t
-                retired += t
+        def fill(start: int, end: int) -> bool:
+            """Segment one build fetch into blocks and traces."""
+            nonlocal pending_block, pending_uops, pending_trace, pending_conds
+            closed = False
+            for i in range(start, end):
+                nu = nuops[i]
+                if pending_block and pending_uops + nu > block_quota:
+                    close_block()
+                    if len(pending_trace) >= blocks_per_trace:
+                        close_trace()
+                        closed = True
+                k = kinds[i]
+                pending_block.append((ips[i], takens[i], k, nu, snexts[i]))
+                pending_uops += nu
+                if k == branch_floor:
+                    pending_conds += 1
+                if k >= branch_floor or pending_uops >= block_quota:
+                    close_block()
+                    if (
+                        len(pending_trace) >= blocks_per_trace
+                        or pending_conds >= max_conds
+                        or k == c_ijump or k == c_icall or k == c_ret
+                    ):
+                        close_trace()
+                        closed = True
+            if closed and end < total and (
+                ips[end] in tb_sets[(ips[end] >> 1) & tb_mask]
+            ):
+                pending_block = []
+                pending_uops = 0
+                pending_trace = []
+                pending_conds = 0
+                return True
+            return False
 
-            if delivery:
-                delivery_cycles += 1
-                room = depth - occ
-                if room < max_fetch:
-                    if logging:
-                        cycle_log.append(0)
-                        continue
-                    # Queue-stall fast-forward: cycles until a trace
-                    # fits are pure full-width drains (cycle-exact,
-                    # see the XBC delivery loop).
-                    extra = (max_fetch - room + width - 1) // width - 1
-                    if extra > 0 and occ >= extra * width:
-                        cycles += extra
-                        retired += extra * width
-                        occ -= extra * width
-                        delivery_cycles += extra
-                    continue
-                s_lookups += 1
-                ip0 = ips[pos]
-                tbucket = tb_sets[(ip0 >> 1) & tb_mask]
-                tentry = tbucket.get(ip0)
-                if tentry is None:
-                    delivery = False
-                    sw_build += 1
-                    if mode_pen > 0:
-                        cycles += mode_pen
-                        pen["mode_switch"] = pen.get("mode_switch", 0) + mode_pen
-                    if logging:
-                        cycle_log.append(0)
-                    continue
-                tb_clock += 1
-                tbucket[ip0] = (tentry[0], tb_clock)
-                # ---- walk the pointed-to blocks against the path ----
-                uops = 0
-                complete = True
-                for block_ip in tentry[0]:
-                    if pos >= total or ips[pos] != block_ip:
-                        complete = False
-                        break
-                    bbucket = bb_sets[(block_ip >> 1) & bb_mask]
-                    block = bbucket.get(block_ip)
-                    if block is None:
-                        complete = False  # pointer into evicted block
-                        break
-                    bb_clock += 1
-                    bbucket[block_ip] = (block[0], bb_clock)
-                    pos, buops, stall, complete = send((pos, block[0]))
-                    uops += buops
-                    cycles += stall
-                    if not complete:
-                        break
-                if uops == 0 and not complete:
-                    # first block pointer missed in the block cache
-                    delivery = False
-                    sw_build += 1
-                    if mode_pen > 0:
-                        cycles += mode_pen
-                        pen["mode_switch"] = pen.get("mode_switch", 0) + mode_pen
-                    if logging:
-                        cycle_log.append(0)
-                    continue
-                s_hits += 1
-                fetch_cycles_s += 1
-                from_structure += uops
-                occ += uops
-                if logging:
-                    cycle_log.append(uops)
-            else:
-                build_cycles += 1
-                room = depth - occ
-                if room < max_build:
-                    if logging:
-                        cycle_log.append(0)
-                        continue
-                    extra = (max_build - room + width - 1) // width - 1
-                    if extra > 0 and occ >= extra * width:
-                        cycles += extra
-                        retired += extra * width
-                        occ -= extra * width
-                        build_cycles += extra
-                    continue
-                start = pos
-                pos, cuops, stall, _ = send(pos)
-                cycles += stall
-                from_ic += cuops
-                occ += cuops
-                if logging:
-                    cycle_log.append(cuops)
-
-                # ---- segment this fetch run into blocks/traces ----
-                closed_any = False
-                for i in range(start, pos):
-                    nu = nuops[i]
-                    if pending_block and pending_uops + nu > block_quota:
-                        close_block()
-                        if len(pending_trace) >= blocks_per_trace:
-                            close_trace()
-                            closed_any = True
-                    k = kinds[i]
-                    pending_block.append((ips[i], takens[i], k, nu, snexts[i]))
-                    pending_uops += nu
-                    ends_block = (
-                        k >= branch_floor or pending_uops >= block_quota
-                    )
-                    if k == branch_floor:
-                        pending_conds += 1
-                    if ends_block:
-                        close_block()
-                        end_trace = (
-                            len(pending_trace) >= blocks_per_trace
-                            or pending_conds >= max_conds
-                            or k == c_ijump or k == c_icall or k == c_ret
-                        )
-                        if end_trace:
-                            close_trace()
-                            closed_any = True
-                if closed_any and pos < total:
-                    ip0 = ips[pos]
-                    tbucket = tb_sets[(ip0 >> 1) & tb_mask]
-                    tentry = tbucket.get(ip0)
-                    if tentry is not None:
-                        tb_clock += 1
-                        tbucket[ip0] = (tentry[0], tb_clock)
-                        delivery = True
-                        pending_block = []
-                        pending_uops = 0
-                        pending_trace = []
-                        pending_conds = 0
-                        sw_deliver += 1
-                        if mode_pen > 0:
-                            cycles += mode_pen
-                            pen["mode_switch"] = (
-                                pen.get("mode_switch", 0) + mode_pen
-                            )
-        if occ:
-            cycles += (occ + width - 1) // width
-            retired += occ
-
-        send(PUBLISH)  # the predictor and i-cache counters into stats
-        stats.cycles = cycles
-        stats.build_cycles = build_cycles
-        stats.delivery_cycles = delivery_cycles
-        stats.uops_from_ic = from_ic
-        stats.uops_from_structure = from_structure
-        stats.retired_uops = retired
-        stats.structure_fetch_cycles = fetch_cycles_s
-        stats.structure_lookups = s_lookups
-        stats.structure_hits = s_hits
-        stats.blocks_built = blocks_built
-        stats.switches_to_delivery = sw_deliver
-        stats.switches_to_build = sw_build
+        run_flat_modes(
+            config, total, stats, send,
+            blocks_per_trace * block_quota, deliver, fill, cycle_log,
+        )
+        stats.blocks_built = built
         stats.verify_conservation(trace.total_uops)
         return stats
 

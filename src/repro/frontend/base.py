@@ -2,16 +2,22 @@
 
 Every frontend simulation follows the same outer shape: a cycle loop
 that drains the renamer, checks decoupling-queue space, and then runs
-either a build-mode or a delivery-mode fetch step.  The queue/renamer
-mechanics are identical across models and live in :class:`UopFlow`;
-the abstract :class:`FrontendModel` fixes the public interface the
-harness drives.
+either a build-mode or a delivery-mode fetch step.  The DC, TC and
+BBTC share one such loop,
+:func:`~repro.frontend.flat_engine.run_flat_modes`; the IC (build mode
+only, over several ports) and the XBC keep their own.  The reference
+paths and the XBC model the queue and renamer with :class:`UopFlow`,
+and the flat loops do the same arithmetic on locals.  Fetch waits
+until the queue has room for a whole fetch, so a frontend refuses at
+construction a geometry whose fetch could never fit.  The abstract
+:class:`FrontendModel` fixes the public interface the harness drives.
 """
 
 from __future__ import annotations
 
 import abc
 
+from repro.common.errors import ConfigError
 from repro.frontend.config import FrontendConfig
 from repro.frontend.metrics import FrontendStats
 from repro.trace.record import Trace
@@ -66,6 +72,20 @@ class FrontendModel(abc.ABC):
     @abc.abstractmethod
     def run(self, trace: Trace) -> FrontendStats:
         """Simulate the whole trace, returning the run's statistics."""
+
+    def _check_fetch_fits(self, uops: int, what: str) -> None:
+        """Raise :class:`ConfigError` unless one delivery fetch of
+        *uops* (described by *what*) fits the uop queue.
+
+        Fetch waits for room for a whole fetch, so a fetch larger than
+        the queue would wait forever on an empty queue.
+        """
+        depth = self.config.uop_queue_depth
+        if uops > depth:
+            raise ConfigError(
+                f"uop_queue_depth {depth} is below one delivery fetch of "
+                f"{what} = {uops} uops"
+            )
 
     def describe(self) -> str:
         """Human-readable identification used in reports."""

@@ -66,6 +66,11 @@ class FrontendConfig:
             )
         if self.decode_width < 1:
             raise ConfigError("decode_width must be >= 1")
+        if self.uop_queue_depth < 4 * self.decode_width:
+            raise ConfigError(
+                f"uop_queue_depth {self.uop_queue_depth} is below one build "
+                f"fetch of 4 * decode_width = {4 * self.decode_width} uops"
+            )
         try:
             log2_exact(self.fetch_block_bytes)
             log2_exact(self.ic_line_bytes)

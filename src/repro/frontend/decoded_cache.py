@@ -13,11 +13,14 @@ and hold the uops of consecutive instructions up to a uop quota;
 control entering mid-run anchors a new (partially duplicate) line —
 reproducing both fragmentation effects the paper describes.
 
-Two implementations share this class: ``_run_flat`` (default) is one
-fused loop over the columnar trace arrays with tuple-payload lines:
-build fetches and line walks are both commands to the flat engine
-(:func:`~repro.frontend.flat_engine.flat_build_fetch`), which owns
-the run's predictors, and queue stalls are fast-forwarded XBC-style;
+Two implementations share this class.  ``_run_flat`` (default) holds
+only the line store, as per-set dicts of tuple-payload lines, and its
+two closures: ``deliver`` looks a line up and walks it, ``fill`` feeds
+one build fetch to the fill unit.  The shared mode loop
+(:func:`~repro.frontend.flat_engine.run_flat_modes`) runs the cycles,
+the queue and the mode switches, and the flat engine
+(:func:`~repro.frontend.flat_engine.flat_build_fetch`) owns the
+predictors and does the build fetches and line walks.
 ``_run_reference`` is the original object-per-cycle code, kept as the
 behavioural oracle the differential tests compare against.  Both
 produce bit-identical :class:`FrontendStats`.  The flat lines record
@@ -41,7 +44,7 @@ from repro.common.errors import ConfigError
 from repro.frontend.base import FrontendModel, UopFlow
 from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
-from repro.frontend.flat_engine import PUBLISH, flat_build_fetch
+from repro.frontend.flat_engine import flat_build_fetch, run_flat_modes
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
 from repro.isa.instruction import CODE_COND_BRANCH, Instruction, InstrKind
@@ -65,6 +68,8 @@ class DcConfig:
         """Raise :class:`ConfigError` on inconsistent geometry."""
         if self.line_uops < 4:
             raise ConfigError("line_uops must be >= 4")
+        if self.assoc < 1:
+            raise ConfigError("assoc must be >= 1")
         if self.total_uops % (self.line_uops * self.assoc):
             raise ConfigError("total_uops must be divisible by line*assoc")
         try:
@@ -97,6 +102,7 @@ class DecodedCacheFrontend(FrontendModel):
         super().__init__(config if config is not None else FrontendConfig())
         dc_config = dc_config if dc_config is not None else DcConfig()
         dc_config.validate()
+        self._check_fetch_fits(dc_config.line_uops, "line_uops")
         self.dc_config = dc_config
 
     def run(
@@ -129,39 +135,26 @@ class DecodedCacheFrontend(FrontendModel):
         set_mask = dc.num_sets - 1
         dc_assoc = dc.assoc
         line_quota = dc.line_uops
-        clock = 0
-
-        # config scalars
-        width = config.renamer_width
-        depth = config.uop_queue_depth
-        mode_pen = config.mode_switch_penalty
-        max_build = 4 * config.decode_width
         branch_floor = CODE_COND_BRANCH
-
-        # counters
-        cycles = 0
-        build_cycles = 0
-        delivery_cycles = 0
-        retired = 0
-        occ = 0
-        from_ic = 0
-        from_structure = 0
-        fetch_cycles_s = 0
-        s_lookups = s_hits = 0
-        blocks_built = 0
-        sw_deliver = sw_build = 0
-        pen = stats.penalty_cycles
-        pos = 0
-        delivery = False
+        clock = 0
+        built = 0
         pending: list = []          # [(ip, taken, kind, nu, snext), ...]
         pending_uops = 0
         pending_next_ip = -1
-        logging = cycle_log is not None
 
-        def close_pending() -> bool:
-            nonlocal pending, pending_uops, clock, blocks_built
-            if not pending:
-                return False
+        def deliver(pos: int):
+            nonlocal clock
+            ip = ips[pos]
+            bucket = sets[(ip >> 1) & set_mask]
+            line = bucket.get(ip)
+            if line is None:
+                return None
+            clock += 1
+            bucket[ip] = (line[0], clock)
+            return send((pos, line[0]))
+
+        def install() -> None:
+            nonlocal pending, pending_uops, clock, built
             start_ip = pending[0][0]
             bucket = sets[(start_ip >> 1) & set_mask]
             clock += 1
@@ -169,134 +162,47 @@ class DecodedCacheFrontend(FrontendModel):
                 victim = min(bucket, key=lambda k: bucket[k][1])
                 del bucket[victim]
             bucket[start_ip] = (tuple(pending), clock)
-            blocks_built += 1
+            built += 1
             pending = []
             pending_uops = 0
-            return True
 
-        while pos < total:
-            cycles += 1
-            if occ:
-                t = occ if occ < width else width
-                occ -= t
-                retired += t
+        def fill(start: int, end: int) -> bool:
+            nonlocal pending, pending_uops, pending_next_ip
+            closed = False
+            for i in range(start, end):
+                ip = ips[i]
+                nu = nuops[i]
+                if pending and (
+                    ip != pending_next_ip or pending_uops + nu > line_quota
+                ):
+                    install()
+                    closed = True
+                k = kinds[i]
+                tk = takens[i]
+                pending.append((ip, tk, k, nu, snexts[i]))
+                pending_uops += nu
+                pending_next_ip = snexts[i]
+                # Lines hold statically consecutive instructions, so
+                # any single-target-or-better break ends them; a
+                # conditional's fallthrough may continue in-line.
+                if (
+                    k >= branch_floor and (k != branch_floor or tk)
+                ) or pending_uops >= line_quota:
+                    install()
+                    closed = True
+            if closed and end < total and (
+                ips[end] in sets[(ips[end] >> 1) & set_mask]
+            ):
+                pending = []
+                pending_uops = 0
+                return True
+            return False
 
-            if delivery:
-                delivery_cycles += 1
-                room = depth - occ
-                if room < line_quota:
-                    if logging:
-                        cycle_log.append(0)
-                        continue
-                    # Queue-stall fast-forward: cycles until a line
-                    # fits are pure full-width drains (cycle-exact,
-                    # see the XBC delivery loop).
-                    extra = (line_quota - room + width - 1) // width - 1
-                    if extra > 0 and occ >= extra * width:
-                        cycles += extra
-                        retired += extra * width
-                        occ -= extra * width
-                        delivery_cycles += extra
-                    continue
-                s_lookups += 1
-                ip0 = ips[pos]
-                bucket = sets[(ip0 >> 1) & set_mask]
-                entry = bucket.get(ip0)
-                if entry is None:
-                    delivery = False
-                    sw_build += 1
-                    if mode_pen > 0:
-                        cycles += mode_pen
-                        pen["mode_switch"] = pen.get("mode_switch", 0) + mode_pen
-                    if logging:
-                        cycle_log.append(0)
-                    continue
-                clock += 1
-                bucket[ip0] = (entry[0], clock)
-                s_hits += 1
-                fetch_cycles_s += 1
-                pos, uops, stall, _ = send((pos, entry[0]))
-                cycles += stall
-                from_structure += uops
-                occ += uops
-                if logging:
-                    cycle_log.append(uops)
-            else:
-                build_cycles += 1
-                room = depth - occ
-                if room < max_build:
-                    if logging:
-                        cycle_log.append(0)
-                        continue
-                    extra = (max_build - room + width - 1) // width - 1
-                    if extra > 0 and occ >= extra * width:
-                        cycles += extra
-                        retired += extra * width
-                        occ -= extra * width
-                        build_cycles += extra
-                    continue
-                start = pos
-                pos, cuops, stall, _ = send(pos)
-                cycles += stall
-                from_ic += cuops
-                occ += cuops
-                if logging:
-                    cycle_log.append(cuops)
-
-                # ---- fill the decoded cache from this fetch run ----
-                closed = False
-                for i in range(start, pos):
-                    ip = ips[i]
-                    nu = nuops[i]
-                    if pending and (
-                        ip != pending_next_ip
-                        or pending_uops + nu > line_quota
-                    ):
-                        closed |= close_pending()
-                    k = kinds[i]
-                    tk = takens[i]
-                    pending.append((ip, tk, k, nu, snexts[i]))
-                    pending_uops += nu
-                    pending_next_ip = snexts[i]
-                    # Lines hold statically consecutive instructions, so
-                    # any single-target-or-better break ends them; a
-                    # conditional's fallthrough may continue in-line.
-                    ends = k >= branch_floor and (k != branch_floor or tk)
-                    if ends or pending_uops >= line_quota:
-                        closed |= close_pending()
-                if closed and pos < total:
-                    ip0 = ips[pos]
-                    bucket = sets[(ip0 >> 1) & set_mask]
-                    entry = bucket.get(ip0)
-                    if entry is not None:
-                        clock += 1
-                        bucket[ip0] = (entry[0], clock)
-                        delivery = True
-                        pending = []
-                        pending_uops = 0
-                        sw_deliver += 1
-                        if mode_pen > 0:
-                            cycles += mode_pen
-                            pen["mode_switch"] = (
-                                pen.get("mode_switch", 0) + mode_pen
-                            )
-        if occ:
-            cycles += (occ + width - 1) // width
-            retired += occ
-
-        send(PUBLISH)  # the predictor and i-cache counters into stats
-        stats.cycles = cycles
-        stats.build_cycles = build_cycles
-        stats.delivery_cycles = delivery_cycles
-        stats.uops_from_ic = from_ic
-        stats.uops_from_structure = from_structure
-        stats.retired_uops = retired
-        stats.structure_fetch_cycles = fetch_cycles_s
-        stats.structure_lookups = s_lookups
-        stats.structure_hits = s_hits
-        stats.blocks_built = blocks_built
-        stats.switches_to_delivery = sw_deliver
-        stats.switches_to_build = sw_build
+        run_flat_modes(
+            config, total, stats, send, line_quota, deliver, fill,
+            cycle_log,
+        )
+        stats.blocks_built = built
         stats.extra["dc_resident_lines"] = sum(len(b) for b in sets)
         stats.verify_conservation(trace.total_uops)
         return stats

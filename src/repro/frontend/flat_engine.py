@@ -1,11 +1,32 @@
-"""The build fetch and the predictors of all five frontends.
+"""The build fetch and the predictors of all five frontends, and the
+mode loop of the DC, TC and BBTC.
 
-The IC, DC, TC and BBTC each run one fused ``_run_flat`` loop over the
-columnar trace arrays, and the XBC runs its own structured loop.  In
-the paper's Figure 6 one set of predictors serves both modes, and each
-branch trains it once, whether its uops came from the IC or from the
-uop structure.  The generator :func:`flat_build_fetch` is the one owner
-of that state in a run, and every frontend's build mode fetches
+The DC, TC and BBTC run on one mode loop, :func:`run_flat_modes`; the
+IC runs its own multi-ported build loop and the XBC its structured
+loop.  The mode loop is the machine the paper simulates every
+structure on: an IC-fed build mode, a structure-fed delivery mode, a
+refill penalty on each switch between them, and a decoupling queue
+drained by the renamer.  It owns the cycle count, the queue, both
+queue-stall fast-forwards, the switches and their penalty, the cycle
+log and every counter but ``blocks_built``.  Each frontend supplies
+only its store, through two closures::
+
+    deliver(pos) -> None | (pos, uops, stall, complete)  # one hit
+    fill(start, end) -> bool                   # one build fetch filled
+
+``deliver`` looks the structure up at trace position *pos* and walks
+what it finds (below); ``None`` is a miss, which switches to build
+mode.  ``fill`` feeds the instructions of one build fetch to the fill
+unit; True switches to delivery mode, and ``fill`` has by then checked
+that the next fetch IP hits and dropped its pending line or trace.
+That check is a plain membership test that touches no LRU stamp: the
+delivery cycle that follows looks the same key up, and touches it,
+before anything else touches the store, so no LRU decision changes.
+
+In the paper's Figure 6 one set of predictors serves both modes, and
+each branch trains it once, whether its uops came from the IC or from
+the uop structure.  The generator :func:`flat_build_fetch` is the one
+owner of that state in a run, and every frontend's build mode fetches
 through it: gshare, the RSB and the indirect table, plus the BTB and
 the i-cache only build mode uses, all kept in frame locals between
 commands.  A frontend drives it with four commands, one resume each::
@@ -51,8 +72,8 @@ delivered conditionals in the walk instead.
 ``send(PUBLISH)`` adds the prediction counters of both modes and the
 i-cache counters into ``stats`` and zeroes its own; a run ends with
 it.  It adds because the XBC counts its XiBTB and XRSB predictions in
-``stats`` directly; the four flat loops publish once into zeroed
-counters.
+``stats`` directly; the IC's loop and the mode loop publish once into
+zeroed counters.
 
 Layouts (each with the behaviour of the class in :mod:`repro.branch` or
 :mod:`repro.frontend.icache` that
@@ -72,7 +93,7 @@ oracle):
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.common.bitutils import log2_exact
 from repro.frontend.config import FrontendConfig
@@ -464,3 +485,118 @@ def flat_build_fetch(
             b_stamps[found] = b_clock
             break
         cmd = yield pos, uops, stall, stalled
+
+
+def run_flat_modes(
+    config: FrontendConfig,
+    total: int,
+    stats: FrontendStats,
+    send: Callable[[Any], Any],
+    quota: int,
+    deliver: Callable[[int], Optional[Tuple[int, int, int, bool]]],
+    fill: Callable[[int, int], bool],
+    cycle_log: Optional[List[int]],
+) -> None:
+    """Run the DC, TC or BBTC over *total* trace positions (oracle:
+    their ``_run_reference`` loops over
+    :class:`~repro.frontend.base.UopFlow`).
+
+    *send* is a primed :func:`flat_build_fetch`; *quota* is the most
+    uops one delivery fetch can push, and *deliver* and *fill* are the
+    frontend's store as in the module docstring.  On return every
+    counter but ``blocks_built`` is in *stats*.
+    """
+    width = config.renamer_width
+    depth = config.uop_queue_depth
+    mode_pen = config.mode_switch_penalty
+    max_build = 4 * config.decode_width
+    pen = stats.penalty_cycles
+    cycles = build_cycles = delivery_cycles = retired = occ = 0
+    from_ic = from_structure = lookups = hits = 0
+    sw_deliver = sw_build = 0
+    pos = 0
+    delivery = False
+    logging = cycle_log is not None
+
+    while pos < total:
+        cycles += 1
+        if occ:
+            t = occ if occ < width else width
+            occ -= t
+            retired += t
+
+        if delivery:
+            delivery_cycles += 1
+            room = depth - occ
+            if room < quota:
+                if logging:
+                    cycle_log.append(0)
+                    continue
+                # Queue-stall fast-forward: cycles until a fetch fits
+                # are pure full-width drains (cycle-exact, see the XBC
+                # delivery loop).
+                extra = (quota - room + width - 1) // width - 1
+                if extra > 0 and occ >= extra * width:
+                    cycles += extra
+                    retired += extra * width
+                    occ -= extra * width
+                    delivery_cycles += extra
+                continue
+            lookups += 1
+            hit = deliver(pos)
+            if hit is None:
+                delivery = False
+                sw_build += 1
+                if mode_pen > 0:
+                    cycles += mode_pen
+                    pen["mode_switch"] = pen.get("mode_switch", 0) + mode_pen
+                if logging:
+                    cycle_log.append(0)
+                continue
+            pos, uops, stall, _ = hit
+            hits += 1
+            from_structure += uops
+        else:
+            build_cycles += 1
+            room = depth - occ
+            if room < max_build:
+                if logging:
+                    cycle_log.append(0)
+                    continue
+                extra = (max_build - room + width - 1) // width - 1
+                if extra > 0 and occ >= extra * width:
+                    cycles += extra
+                    retired += extra * width
+                    occ -= extra * width
+                    build_cycles += extra
+                continue
+            start = pos
+            pos, uops, stall, _ = send(pos)
+            from_ic += uops
+            if fill(start, pos):
+                delivery = True
+                sw_deliver += 1
+                if mode_pen > 0:
+                    cycles += mode_pen
+                    pen["mode_switch"] = pen.get("mode_switch", 0) + mode_pen
+        cycles += stall
+        occ += uops
+        if logging:
+            cycle_log.append(uops)
+    if occ:
+        cycles += (occ + width - 1) // width
+        retired += occ
+
+    send(PUBLISH)  # the predictor and i-cache counters into stats
+    stats.cycles = cycles
+    stats.build_cycles = build_cycles
+    stats.delivery_cycles = delivery_cycles
+    stats.uops_from_ic = from_ic
+    stats.uops_from_structure = from_structure
+    stats.retired_uops = retired
+    # Each hit is one structure fetch cycle.
+    stats.structure_fetch_cycles = hits
+    stats.structure_lookups = lookups
+    stats.structure_hits = hits
+    stats.switches_to_delivery = sw_deliver
+    stats.switches_to_build = sw_build

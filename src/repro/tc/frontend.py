@@ -8,12 +8,15 @@ Build mode runs the shared IC/BTB/decode engine and feeds the fill
 unit; once a trace completes and the next fetch IP hits in the cache,
 the frontend switches back to delivery.
 
-Two implementations share this class: ``_run_flat`` (default for the
-§4 baseline, which has path associativity OFF) is one fused loop over
-the columnar trace arrays with tuple-payload trace lines: build
-fetches and line walks are both commands to the flat engine
-(:func:`~repro.frontend.flat_engine.flat_build_fetch`), which owns
-the run's predictors, and queue stalls are fast-forwarded XBC-style.
+Two implementations share this class.  ``_run_flat`` (default for the
+§4 baseline, which has path associativity OFF) holds only the trace
+cache, as per-set dicts of tuple-payload lines, and its two closures:
+``deliver`` looks a line up and walks it, ``fill`` feeds one build
+fetch to the fill unit.  The shared mode loop
+(:func:`~repro.frontend.flat_engine.run_flat_modes`) runs the cycles,
+the queue and the mode switches, and the flat engine
+(:func:`~repro.frontend.flat_engine.flat_build_fetch`) owns the
+predictors and does the build fetches and line walks.
 ``_run_reference`` is the original object-per-cycle code, kept as the
 behavioural oracle the differential tests compare against and used for
 path-associative configurations (predictor-steered way selection stays
@@ -32,7 +35,7 @@ from repro.branch.rsb import ReturnStackBuffer
 from repro.frontend.base import FrontendModel, UopFlow
 from repro.frontend.build_engine import BuildEngine
 from repro.frontend.config import FrontendConfig
-from repro.frontend.flat_engine import PUBLISH, flat_build_fetch
+from repro.frontend.flat_engine import flat_build_fetch, run_flat_modes
 from repro.frontend.icache import InstructionCache
 from repro.frontend.metrics import FrontendStats
 from repro.isa.instruction import (
@@ -62,6 +65,7 @@ class TcFrontend(FrontendModel):
         super().__init__(config if config is not None else FrontendConfig())
         tc_config = tc_config if tc_config is not None else TcConfig()
         tc_config.validate()
+        self._check_fetch_fits(tc_config.line_uops, "line_uops")
         self.tc_config = tc_config
 
     def run(
@@ -88,186 +92,99 @@ class TcFrontend(FrontendModel):
         next(fetch)
         send = fetch.send
 
-        # trace-cache store: set -> {start_ip: (entries, uops, stamp)}
-        # with entry = (ip, taken, kind, nuops, snext).  Static fields
-        # are functions of ip, so entries-tuple equality is exactly the
+        # trace-cache store: set -> {start_ip: (entries, stamp)} with
+        # entry = (ip, taken, kind, nuops, snext).  Static fields are
+        # functions of ip, so entries-tuple equality is exactly the
         # reference's path-signature equality.
         sets: List[dict] = [{} for _ in range(tc.num_sets)]
         set_mask = tc.num_sets - 1
         tc_assoc = tc.assoc
         line_quota = tc.line_uops
         max_conds = tc.max_cond_branches
-        clock = 0
-
-        # config scalars
-        width = config.renamer_width
-        depth = config.uop_queue_depth
-        mode_pen = config.mode_switch_penalty
-        max_build = 4 * config.decode_width
         branch_floor = CODE_COND_BRANCH
         c_ijump = CODE_INDIRECT_JUMP
         c_icall = CODE_INDIRECT_CALL
         c_ret = CODE_RETURN
-
-        # counters
-        cycles = 0
-        build_cycles = 0
-        delivery_cycles = 0
-        retired = 0
-        occ = 0
-        from_ic = 0
-        from_structure = 0
-        fetch_cycles_s = 0
-        s_lookups = s_hits = 0
-        blocks_built = 0
-        sw_deliver = sw_build = 0
-        pen = stats.penalty_cycles
-        pos = 0
-        delivery = False
+        clock = 0
+        built = 0
         pending: list = []          # [(ip, taken, kind, nu, snext), ...]
         pending_uops = 0
         pending_conds = 0
-        logging = cycle_log is not None
 
-        def finalize() -> bool:
+        def deliver(pos: int):
+            nonlocal clock
+            ip = ips[pos]
+            bucket = sets[(ip >> 1) & set_mask]
+            line = bucket.get(ip)
+            if line is None:
+                return None
+            clock += 1
+            bucket[ip] = (line[0], clock)
+            return send((pos, line[0]))
+
+        def install() -> None:
             """Install the pending trace (oracle: TcFillUnit._finalize
-            + TraceCache.insert); returns True when a line completed."""
-            nonlocal pending, pending_uops, pending_conds, clock, blocks_built
-            if not pending:
-                return False
+            + TraceCache.insert).  A same-start line is replaced in
+            place: an equal entries tuple is the same line."""
+            nonlocal pending, pending_uops, pending_conds, clock, built
             start_ip = pending[0][0]
-            entries = tuple(pending)
             bucket = sets[(start_ip >> 1) & set_mask]
             clock += 1
-            existing = bucket.get(start_ip)
-            if existing is not None:
-                if existing[0] == entries:
-                    bucket[start_ip] = (existing[0], existing[1], clock)
-                else:
-                    bucket[start_ip] = (entries, pending_uops, clock)
-            else:
-                if len(bucket) >= tc_assoc:
-                    victim = min(bucket, key=lambda k: bucket[k][2])
-                    del bucket[victim]
-                bucket[start_ip] = (entries, pending_uops, clock)
-            blocks_built += 1
+            if start_ip not in bucket and len(bucket) >= tc_assoc:
+                victim = min(bucket, key=lambda k: bucket[k][1])
+                del bucket[victim]
+            bucket[start_ip] = (tuple(pending), clock)
+            built += 1
             pending = []
             pending_uops = 0
             pending_conds = 0
-            return True
 
-        while pos < total:
-            cycles += 1
-            if occ:
-                t = occ if occ < width else width
-                occ -= t
-                retired += t
-
-            if delivery:
-                delivery_cycles += 1
-                room = depth - occ
-                if room < line_quota:
-                    if logging:
-                        cycle_log.append(0)
-                        continue
-                    # Queue-stall fast-forward: cycles until a line
-                    # fits are pure full-width drains (cycle-exact,
-                    # see the XBC delivery loop).
-                    extra = (line_quota - room + width - 1) // width - 1
-                    if extra > 0 and occ >= extra * width:
-                        cycles += extra
-                        retired += extra * width
-                        occ -= extra * width
-                        delivery_cycles += extra
-                    continue
-                s_lookups += 1
-                ip0 = ips[pos]
-                bucket = sets[(ip0 >> 1) & set_mask]
-                entry = bucket.get(ip0)
-                if entry is None:
-                    delivery = False
-                    sw_build += 1
-                    if mode_pen > 0:
-                        cycles += mode_pen
-                        pen["mode_switch"] = pen.get("mode_switch", 0) + mode_pen
-                    if logging:
-                        cycle_log.append(0)
-                    continue
-                clock += 1
-                bucket[ip0] = (entry[0], entry[1], clock)
-                s_hits += 1
-                fetch_cycles_s += 1
-                pos, uops, stall, _ = send((pos, entry[0]))
-                cycles += stall
-                from_structure += uops
-                occ += uops
-                if logging:
-                    cycle_log.append(uops)
-            else:
-                build_cycles += 1
-                room = depth - occ
-                if room < max_build:
-                    if logging:
-                        cycle_log.append(0)
-                        continue
-                    extra = (max_build - room + width - 1) // width - 1
-                    if extra > 0 and occ >= extra * width:
-                        cycles += extra
-                        retired += extra * width
-                        occ -= extra * width
-                        build_cycles += extra
-                    continue
-                start = pos
-                pos, cuops, stall, _ = send(pos)
-                cycles += stall
-                from_ic += cuops
-                occ += cuops
-                if logging:
-                    cycle_log.append(cuops)
-
-                # ---- feed the fill unit (oracle: TcFillUnit.feed) ----
-                completed = False
-                for i in range(start, pos):
-                    nu = nuops[i]
-                    if pending and pending_uops + nu > line_quota:
-                        # Quota cut: the instruction starts the next trace.
-                        completed |= finalize()
-                    k = kinds[i]
-                    pending.append((ips[i], takens[i], k, nu, snexts[i]))
-                    pending_uops += nu
-                    if k == branch_floor:
-                        pending_conds += 1
-                    if (
-                        k == c_ijump
-                        or k == c_icall
-                        or k == c_ret
-                        or pending_uops >= line_quota
-                        or pending_conds >= max_conds
-                    ):
-                        completed |= finalize()
-                if completed and pos < total and (
-                    ips[pos] in sets[(ips[pos] >> 1) & set_mask]
+        def fill(start: int, end: int) -> bool:
+            """Feed one build fetch (oracle: TcFillUnit.feed)."""
+            nonlocal pending, pending_uops, pending_conds
+            completed = False
+            for i in range(start, end):
+                nu = nuops[i]
+                if pending and pending_uops + nu > line_quota:
+                    # Quota cut: the instruction starts the next trace.
+                    install()
+                    completed = True
+                k = kinds[i]
+                pending.append((ips[i], takens[i], k, nu, snexts[i]))
+                pending_uops += nu
+                if k == branch_floor:
+                    pending_conds += 1
+                if (
+                    k == c_ijump
+                    or k == c_icall
+                    or k == c_ret
+                    or pending_uops >= line_quota
+                    or pending_conds >= max_conds
                 ):
-                    delivery = True
-                    pending = []
-                    pending_uops = 0
-                    pending_conds = 0
-                    sw_deliver += 1
-                    if mode_pen > 0:
-                        cycles += mode_pen
-                        pen["mode_switch"] = pen.get("mode_switch", 0) + mode_pen
-        if occ:
-            cycles += (occ + width - 1) // width
-            retired += occ
+                    install()
+                    completed = True
+            if completed and end < total and (
+                ips[end] in sets[(ips[end] >> 1) & set_mask]
+            ):
+                pending = []
+                pending_uops = 0
+                pending_conds = 0
+                return True
+            return False
+
+        run_flat_modes(
+            config, total, stats, send, line_quota, deliver, fill,
+            cycle_log,
+        )
 
         # redundancy audit over the resident lines (oracle:
         # TraceCache.redundancy / stored_uops)
         copies: dict = {}
         resident_uops = 0
         for bucket in sets:
-            for entries, line_uops_total, _stamp in bucket.values():
-                resident_uops += line_uops_total
+            for entries, _stamp in bucket.values():
                 for ip, _taken, _k, nu, _snext in entries:
+                    resident_uops += nu
                     for index in range(nu):
                         key = (ip << 4) | index
                         copies[key] = copies.get(key, 0) + 1
@@ -276,19 +193,7 @@ class TcFrontend(FrontendModel):
         else:
             redundancy = 1.0
 
-        send(PUBLISH)  # the predictor and i-cache counters into stats
-        stats.cycles = cycles
-        stats.build_cycles = build_cycles
-        stats.delivery_cycles = delivery_cycles
-        stats.uops_from_ic = from_ic
-        stats.uops_from_structure = from_structure
-        stats.retired_uops = retired
-        stats.structure_fetch_cycles = fetch_cycles_s
-        stats.structure_lookups = s_lookups
-        stats.structure_hits = s_hits
-        stats.blocks_built = blocks_built
-        stats.switches_to_delivery = sw_deliver
-        stats.switches_to_build = sw_build
+        stats.blocks_built = built
         stats.extra["tc_redundancy_x1000"] = int(redundancy * 1000)
         stats.extra["tc_resident_uops"] = resident_uops
         stats.verify_conservation(trace.total_uops)

@@ -73,6 +73,13 @@ class XbcConfig:
         """Raise :class:`ConfigError` for inconsistent geometry/policy."""
         if self.banks < 1 or self.line_uops < 1 or self.ways_per_bank < 1:
             raise ConfigError("banks, line_uops and ways_per_bank must be >= 1")
+        if self.max_xb_uops < 4:
+            # An instruction decodes to up to 4 uops, and an XB holds
+            # at least one whole instruction.
+            raise ConfigError(
+                f"banks * line_uops = {self.max_xb_uops} is below one "
+                "instruction's 4 uops"
+            )
         if self.total_uops % self.set_uops:
             raise ConfigError(
                 "total_uops must be divisible by banks*line_uops*ways"
@@ -81,6 +88,8 @@ class XbcConfig:
             log2_exact(self.num_sets)
         except ValueError as exc:
             raise ConfigError(f"num_sets must be a power of two: {exc}") from exc
+        if self.xbtb_assoc < 1:
+            raise ConfigError("xbtb_assoc must be >= 1")
         if self.xbtb_entries % self.xbtb_assoc:
             raise ConfigError("xbtb_entries must be divisible by xbtb_assoc")
         try:

@@ -112,6 +112,7 @@ class XbcFrontend(FrontendModel):
         super().__init__(config if config is not None else FrontendConfig())
         xbc_config = xbc_config if xbc_config is not None else XbcConfig()
         xbc_config.validate()
+        self._check_fetch_fits(xbc_config.max_xb_uops, "banks * line_uops")
         self.xbc_config = xbc_config
 
     # ------------------------------------------------------------------

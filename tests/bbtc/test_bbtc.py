@@ -20,6 +20,8 @@ class TestConfig:
             dict(table_entries=100, table_assoc=8),
             dict(blocks_per_trace=0),
             dict(max_cond_branches=0),
+            dict(assoc=0),
+            dict(table_assoc=0),
         ],
     )
     def test_invalid(self, kwargs):

@@ -18,6 +18,7 @@ def test_default_validates():
         ("renamer_width", 0),
         ("uop_queue_depth", 8),
         ("decode_width", 0),
+        ("decode_width", 13),            # a 52-uop build fetch, 48-uop queue
         ("fetch_block_bytes", 24),       # not a power of two
         ("ic_line_bytes", 48),           # not a power of two
         ("fetch_block_bytes", 128),      # exceeds the 64-byte line

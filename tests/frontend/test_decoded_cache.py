@@ -20,6 +20,7 @@ class TestConfig:
             dict(line_uops=2),
             dict(total_uops=1000),
             dict(total_uops=8 * 4 * 3),  # 3 sets
+            dict(assoc=0),
         ],
     )
     def test_invalid(self, kwargs):

@@ -4,9 +4,11 @@ import pytest
 
 from repro.bbtc.config import BbtcConfig
 from repro.bbtc.frontend import BbtcFrontend
+from repro.common.errors import ConfigError
 from repro.frontend.config import FrontendConfig
 from repro.frontend.decoded_cache import DcConfig, DecodedCacheFrontend
 from repro.frontend.ic_frontend import ICFrontend
+from repro.harness.runner import make_frontend
 from repro.isa.instruction import Instruction, InstrKind
 from repro.tc.config import TcConfig
 from repro.tc.frontend import TcFrontend
@@ -90,6 +92,25 @@ class TestTinyQueues:
             FrontendConfig(renamer_width=16), XbcConfig(total_uops=4096)
         ).run(small_trace)
         assert wide.cycles < narrow.cycles
+
+
+    @pytest.mark.parametrize("kind, fe_kwargs, structure, quota", [
+        ("ic", dict(decode_width=6), {}, 24),
+        ("dc", {}, dict(dc_config=DcConfig(line_uops=32)), 32),
+        ("tc", {}, dict(tc_config=TcConfig(line_uops=32)), 32),
+        ("bbtc", {}, dict(bbtc_config=BbtcConfig(blocks_per_trace=3)), 24),
+        ("xbc", {}, dict(xbc_config=XbcConfig(line_uops=8)), 32),
+    ], ids=["ic", "dc", "tc", "bbtc", "xbc"])
+    def test_queue_one_fetch_deep(self, kind, fe_kwargs, structure, quota,
+                                  small_trace):
+        """A queue exactly one fetch deep runs; one uop shallower, the
+        fetch could never fit, and construction names both sizes."""
+        fits = FrontendConfig(uop_queue_depth=quota, **fe_kwargs)
+        stats = make_frontend(kind, fits, **structure).run(small_trace)
+        assert stats.retired_uops == small_trace.total_uops
+        short = FrontendConfig(uop_queue_depth=quota - 1, **fe_kwargs)
+        with pytest.raises(ConfigError, match=f"{quota - 1}.*{quota}"):
+            make_frontend(kind, short, **structure)
 
 
 class TestExtremeGeometries:

@@ -1,12 +1,24 @@
-"""Property-based tests (hypothesis) for the core data structures."""
+"""Property-based tests (hypothesis) for the core data structures
+and for every frontend geometry that validates."""
 
-from hypothesis import given, settings, strategies as st
+import signal
+from contextlib import contextmanager
 
+import pytest
+from hypothesis import Phase, assume, given, settings, strategies as st
+
+from repro.bbtc.config import BbtcConfig
 from repro.branch.gshare import GsharePredictor
 from repro.branch.rsb import ReturnStackBuffer
+from repro.common.errors import ConfigError
 from repro.common.histogram import Histogram
 from repro.common.rng import DeterministicRng
+from repro.frontend.config import FrontendConfig
+from repro.frontend.decoded_cache import DcConfig
+from repro.harness.runner import make_frontend
 from repro.isa.instruction import Instruction, InstrKind
+from repro.tc.config import TcConfig
+from repro.trace.executor import execute_program
 from repro.trace.record import DynInstr, Trace
 from repro.xbc.config import XbcConfig
 from repro.xbc.fill import common_suffix_len
@@ -180,3 +192,109 @@ def test_rng_reset_replays_stream(seed, salt):
     first = [rng.random() for _ in range(10)]
     rng.reset()
     assert [rng.random() for _ in range(10)] == first
+
+
+# ----------------------------------------------------------------------
+# every frontend geometry that validates terminates and conserves uops
+# ----------------------------------------------------------------------
+
+#: Seconds one example's runs may take.  A 3k-uop trace runs in tens
+#: of milliseconds; a fetch that can never fit the queue spins forever.
+RUN_BOUND_S = 5.0
+
+
+@contextmanager
+def _time_bound(seconds):
+    """Raise :class:`TimeoutError` in the body after *seconds*, so a
+    hang fails the example instead of stalling the suite (no bound
+    where the platform has no interval timer)."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"run did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def _geometries(draw, kind):
+    """A frontend config and *kind*'s structure config, small enough
+    that the structure churns; the set count is a power of two, so
+    only the queue checks can reject a draw."""
+    fe_config = FrontendConfig(
+        renamer_width=draw(st.integers(1, 12)),
+        uop_queue_depth=draw(st.integers(16, 64)),
+        decode_width=draw(st.integers(1, 8)),
+    )
+    if kind == "ic":
+        return fe_config, {}
+    sets = 2 ** draw(st.integers(0, 4))
+    assoc = draw(st.integers(1, 4))
+    if kind == "dc":
+        line = draw(st.integers(4, 32))
+        return fe_config, {"dc_config": DcConfig(
+            total_uops=sets * line * assoc, line_uops=line, assoc=assoc,
+        )}
+    if kind == "tc":
+        line = draw(st.integers(4, 32))
+        return fe_config, {"tc_config": TcConfig(
+            total_uops=sets * line * assoc, line_uops=line, assoc=assoc,
+            max_cond_branches=draw(st.integers(1, 4)),
+        )}
+    if kind == "bbtc":
+        block = draw(st.integers(2, 12))
+        return fe_config, {"bbtc_config": BbtcConfig(
+            total_uops=sets * block * assoc, block_uops=block, assoc=assoc,
+            table_entries=sets * assoc, table_assoc=assoc,
+            blocks_per_trace=draw(st.integers(1, 6)),
+            max_cond_branches=draw(st.integers(1, 4)),
+        )}
+    banks = draw(st.integers(1, 8))
+    line = draw(st.integers(1, 8))
+    return fe_config, {"xbc_config": XbcConfig(
+        total_uops=sets * banks * line * assoc, banks=banks,
+        line_uops=line, ways_per_bank=assoc,
+    )}
+
+
+@pytest.fixture(scope="module")
+def short_trace(small_program):
+    """A 3k-uop trace: long enough for every mode switch."""
+    return execute_program(small_program, max_uops=3_000)
+
+
+@pytest.mark.parametrize("kind", ["ic", "dc", "tc", "bbtc", "xbc"])
+@given(data=st.data())
+# No shrink phase: shrinking a hang costs RUN_BOUND_S per attempt, and
+# an unshrunk draw is a handful of small ints anyway.
+@settings(max_examples=25, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+def test_every_valid_geometry_terminates_and_conserves(kind, data,
+                                                       short_trace):
+    """Any geometry the frontend accepts runs to the end of the trace
+    and supplies every uop once; the flat frontends also match their
+    reference path, stats and per-cycle log alike.  This is what
+    drives the shared mode loop's queue-stall fast-forward at renamer
+    widths and queue depths other than the defaults."""
+    fe_config, structure = data.draw(_geometries(kind))
+    try:
+        frontend = make_frontend(kind, fe_config, **structure)
+    except ConfigError:
+        assume(False)
+    trace = short_trace
+    with _time_bound(RUN_BOUND_S):
+        stats = frontend.run(trace)
+        assert stats.retired_uops == trace.total_uops
+        if kind != "xbc":
+            log, ref_log = [], []
+            assert frontend.run(trace, log) == stats
+            assert frontend._run_reference(trace, ref_log) == stats
+            assert log == ref_log

@@ -136,6 +136,24 @@ def test_defaulted_and_explicit_requests_share_a_key():
       "config": {"blocks_per_trace": 0}}, "blocks_per_trace"),
     ({"frontend": "xbc", "length": 2000, "total_uops": 512, "assoc": 64},
      "total_uops"),
+    # A delivery fetch larger than the 48-uop queue would wait forever.
+    ({"frontend": "bbtc", "length": 2000,
+      "config": {"blocks_per_trace": 7}}, "uop_queue_depth 48"),
+    ({"frontend": "tc", "length": 2000, "config": {"line_uops": 64}},
+     "uop_queue_depth 48"),
+    ({"frontend": "xbc", "length": 2000, "config": {"line_uops": 16}},
+     "uop_queue_depth 48"),
+    ({"frontend": "dc", "length": 2000, "config": {"line_uops": 64}},
+     "uop_queue_depth 48"),
+    # Zero ways, and an XB too small for one 4-uop instruction.
+    ({"frontend": "dc", "length": 2000, "config": {"assoc": 0}}, "assoc"),
+    ({"frontend": "bbtc", "length": 2000, "config": {"assoc": 0}}, "assoc"),
+    ({"frontend": "bbtc", "length": 2000, "config": {"table_assoc": 0}},
+     "table_assoc"),
+    ({"frontend": "xbc", "length": 2000,
+      "config": {"banks": 1, "line_uops": 2}}, "line_uops = 2 is below"),
+    ({"frontend": "xbc", "length": 2000, "config": {"xbtb_assoc": 0}},
+     "xbtb_assoc"),
 ])
 def test_bad_requests_are_rejected(payload, fragment):
     with pytest.raises(ProtocolError, match=fragment):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.frontend.config import FrontendConfig
 from repro.xbc.config import XbcConfig
 from repro.xbc.frontend import XbcFrontend
@@ -107,6 +108,16 @@ class TestFeatureFlags:
                 XbcConfig(total_uops=4096, banks=banks, line_uops=line),
             ).run(medium_trace)
             assert stats.total_uops == medium_trace.total_uops
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("kwargs", [
+        dict(banks=1, line_uops=2),  # an XB below one 4-uop instruction
+        dict(xbtb_assoc=0),
+    ])
+    def test_invalid(self, kwargs):
+        with pytest.raises(ConfigError):
+            XbcConfig(**kwargs).validate()
 
 
 class TestAccounting:
